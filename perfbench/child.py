@@ -119,10 +119,11 @@ def run_solves(
                     tr.end(*span)
                     tracing.reset_instance(token)
             until_slice -= elapsed
-            if result is None:
-                continue
+            # a call that raised still costs its time, so failing fast cannot look faster
             latencies.append(elapsed)
             marks.append(speed.mark())
+            if result is None:
+                continue
             solvers[result.solver] = solvers.get(result.solver, 0) + 1
             problem = check.check(item, result)
             if problem is None:
@@ -148,7 +149,7 @@ def run_solves(
         "busy_s": busy,
         "samples": len(latencies),
         "metrics": {
-            "throughput_per_s": len(latencies) / busy if busy > 0 else 0.0,
+            "throughput_per_s": totals.good / busy if busy > 0 else 0.0,
             "latency_p50_ms": 1000.0 * q["p50"],
             "latency_p90_ms": 1000.0 * q["p90"],
             **totals.metrics(attempted),
@@ -157,7 +158,7 @@ def run_solves(
             "solvers": solvers,
             "repeat_share": sum(i.repeat for i in items) / attempted,
             **_wall_info(
-                len(latencies) / raw_busy if raw_busy > 0 else 0.0,
+                totals.good / raw_busy if raw_busy > 0 else 0.0,
                 latencies,
                 busy / raw_busy if raw_busy > 0 else 1.0,
             ),
@@ -238,9 +239,10 @@ async def run_service(args: argparse.Namespace, pool: List[Item], env: Dict[str,
         if r.result is not None and r.item.iid not in bad and f"#{r.index}" not in bad:
             totals.add(r.result)
     attempted = max(1, len(plan))
+    # every request has a latency, also one that failed or timed out
+    raw = [r.latency for r in plan]
+    latencies = [r.latency * speed.factor(r.mark) for r in plan]
     answered = [r for r in plan if r.result is not None]
-    raw = [r.latency for r in answered]
-    latencies = [r.latency * speed.factor(r.mark) for r in answered]
     hits = [r.latency * speed.factor(r.mark) for r in answered if r.cache_hit]
     misses = [r.latency * speed.factor(r.mark) for r in answered if not r.cache_hit]
     q = _quantiles(latencies)
@@ -264,17 +266,18 @@ async def run_service(args: argparse.Namespace, pool: List[Item], env: Dict[str,
         "info": {
             "requests": len(plan),
             "offered_rate_per_s": sl.RATE_PER_S,
-            "hit_share": len(hits) / max(1, len(latencies)),
+            "hit_share": len(hits) / attempted,
             "distinct_problems": len(first),
             "pool_size": len(pool),
             "worker_busy_s": node["worker_solve_sum_s"],
+            "calibration_slices": len(speed.samples),
             **_wall_info(wall_throughput, raw, scale),
         },
     })
     if tr is not None:
         c = tr.counters
         out["layers"] = {
-            "service.hit_fraction": len(hits) / max(1, len(latencies)),
+            "service.hit_fraction": len(hits) / attempted,
             "service.hit_latency_p50_ms": sl.median_ms(hits),
             "service.miss_latency_p50_ms": sl.median_ms(misses),
             "service.queue_wait_p50_ms": node["queue_wait_p50_ms"],

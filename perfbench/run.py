@@ -33,8 +33,9 @@ from typing import Any, Dict, List
 
 WORKLOADS = ("exact", "structured", "heuristic", "service")
 
-#: Process starts per run that set-up time is the median of.
-SETUP_SAMPLES = 3
+#: Process starts per run that set-up time is the median of.  With 3, ten
+#: seeds of the shortest set-up (``exact``, about 0.4 s) spread by 0.24.
+SETUP_SAMPLES = 5
 
 #: Upper bound on one child process, so a run always ends well inside 180 s.
 CHILD_TIMEOUT_S = 150.0
@@ -220,7 +221,8 @@ def main(argv: List[str] = None) -> int:
         for name, value in report[section].items():
             metrics[prefix + name] = {"value": value, "unit": units[section][name]}
     print(json.dumps({
-        "correct": all(not r["mismatches"] for r in reports),
+        # a solve or request that raised, was refused or timed out fails the run too
+        "correct": all(r["failed"] == 0 for r in reports),
         "attempted": sum(r["attempted"] for r in reports),
         "failed": sum(r["failed"] for r in reports),
         "metrics": metrics,

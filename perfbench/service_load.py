@@ -44,6 +44,10 @@ RATE_PER_S = 10.0
 ZIPF_S = 1.0
 #: Connections of the load generator (one per core of a 2-core box).
 CONNECTIONS = 2
+#: A calibration slice waits until no request is due for this long (five
+#: slices at the reference speed), polling every ``QUIET_POLL_S``.
+QUIET_S = 0.02
+QUIET_POLL_S = 0.005
 #: Seconds allowed for server start, and for draining after the last arrival.
 START_TIMEOUT_S = 60.0
 DRAIN_TIMEOUT_S = 60.0
@@ -167,28 +171,38 @@ def peak_rss_mb(pid: int) -> float:
     return total_kb / 1024.0
 
 
-async def drive(server: Server, plan: List[Request], speed: Speedometer, span_hooks: Any = None) -> float:
+async def drive(server: Server, plan: List[Request], speed: Speedometer, span_hooks: Any = None) -> None:
     """Replay ``plan`` against the node, timing calibration slices alongside.
 
-    Returns the loop's start time.
+    A slice blocks the generator's event loop and competes with the node's
+    processes for the CPU, so it is taken only when the node is idle: no
+    request handed to the FIFO is still unanswered, and the next one is not
+    due for ``QUIET_S``.  Server-side work then cannot slow the slices, and
+    the slices add no lag or latency to the requests.
     """
     loop = asyncio.get_running_loop()
     queue: "asyncio.Queue[Optional[Request]]" = asyncio.Queue()
     clients = [await ServiceClient.connect(server.host, server.port) for _ in range(CONNECTIONS)]
     start = loop.time() + 0.05
+    in_flight = 0
+    next_due = start + (plan[0].due if plan else 0.0)
 
     async def produce() -> None:
-        for req in plan:
+        nonlocal in_flight, next_due
+        for i, req in enumerate(plan):
             delay = start + req.due - loop.time()
             if delay > 0:
                 await asyncio.sleep(delay)
             req.lag = max(0.0, loop.time() - (start + req.due))
             req.mark = speed.mark()
+            in_flight += 1
+            next_due = start + plan[i + 1].due if i + 1 < len(plan) else float("inf")
             queue.put_nowait(req)
         for _ in clients:
             queue.put_nowait(None)
 
     async def consume(client: ServiceClient) -> None:
+        nonlocal in_flight
         while True:
             req = await queue.get()
             if req is None:
@@ -203,10 +217,13 @@ async def drive(server: Server, plan: List[Request], speed: Speedometer, span_ho
                 if token is not None:
                     span_hooks.end(token)
             req.latency = loop.time() - (start + req.due)
+            in_flight -= 1
 
     async def calibrate() -> None:
         while True:
             await asyncio.sleep(CADENCE_S)
+            while in_flight or next_due - loop.time() < QUIET_S:
+                await asyncio.sleep(QUIET_POLL_S)
             speed.sample()
 
     calibrator = asyncio.create_task(calibrate())
@@ -221,8 +238,10 @@ async def drive(server: Server, plan: List[Request], speed: Speedometer, span_ho
         for task in done:
             task.result()
         for req in plan:
-            if req.latency is None and req.error is None:
-                req.error = "not answered before the drain timeout"
+            if req.latency is None:
+                # charged its full wait, so a stall cannot shorten the latencies
+                req.error = req.error or "not answered before the drain timeout"
+                req.latency = loop.time() - (start + req.due)
     finally:
         calibrator.cancel()
         await asyncio.gather(calibrator, return_exceptions=True)
@@ -230,7 +249,6 @@ async def drive(server: Server, plan: List[Request], speed: Speedometer, span_ho
             await client.close()
     for _ in range(WINDOW):
         speed.sample()
-    return start
 
 
 async def node_snapshot(server: Server) -> Dict[str, Any]:

@@ -9,11 +9,13 @@ useful regression bound.
 
 So every timed run also times short *calibration slices* — a fixed piece of
 pure-Python work (integer arithmetic, dict updates, heap operations, like
-the solvers' inner loops) that no change to the program can touch — between
-solves or requests.  A timing is scaled by ``REFERENCE_SLICE_S / local slice
-time``, where the local slice time is the median of the slices nearest to
-it.  The reported times are thus wall times expressed at the reference
-speed.  Over 6–8 identical ``heuristic`` runs that straddled fast and slow
+the solvers' inner loops) — at moments when the program is not running:
+between solves, or, for the service, only while no request is in flight and
+none is about to fall due (see :func:`service_load.drive`).  So no change to
+the program's own work can slow the slices and scale itself away.  A
+timing is scaled by ``REFERENCE_SLICE_S / local slice time``, where the
+local slice time is the median of the slices nearest to it.  The reported
+times are thus wall times expressed at the reference speed.  Over 6–8 identical ``heuristic`` runs that straddled fast and slow
 phases, the spread (interquartile range over median) of throughput fell
 from 0.26–0.41 unscaled to 0.04–0.06 scaled, and that of p50 and p90 from
 0.27–0.44 to 0.02–0.07.  Garbage collection is off during a slice, so
@@ -65,9 +67,9 @@ def slice_seconds() -> float:
 class Speedometer:
     """Calibration slices of one run, and the scale factors derived from them."""
 
-    def __init__(self, warmup: int = WINDOW + 1) -> None:
+    def __init__(self) -> None:
         self.samples: List[float] = []
-        for _ in range(warmup):
+        for _ in range(WINDOW + 1):
             self.sample()
 
     def sample(self) -> None:
