@@ -13,29 +13,20 @@ with every solution method the library ships:
   :class:`~repro.core.dag.DAGFamily` tag and to the capacity regime its
   proof covers.
 
-Family adapters rebuild the layout object from the tag parameters and verify
+Family adapters rebuild the layout object from the tag through the single
+family table :data:`repro.dags.FAMILY_INSTANCE_BUILDERS` (the same table
+:func:`repro.api.bounds.best_lower_bound` authenticates tags with) and verify
 it reproduces the problem's DAG, so a hand-built DAG that merely *claims* a
-family can never be answered with a schedule for a different graph.
+family can never be answered with a schedule for a different graph.  The
+adapters return schedules unreplayed: :func:`repro.api.solve` replays each
+one once and raises on an illegal one.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from ..core.dag import DAGFamily
 from ..core.exceptions import IllegalMoveError, SolverError
 from ..core.variants import ONE_SHOT
-from ..dags.attention import attention_instance
-from ..dags.fanin import fanin_groups_instance
-from ..dags.fft import fft_instance
-from ..dags.gadgets import (
-    chained_gadget_instance,
-    figure1_instance,
-    pebble_collection_instance,
-    zipper_instance,
-)
-from ..dags.linalg import matmul_instance, matvec_instance
-from ..dags.trees import kary_tree_instance
+from ..dags import FAMILY_INSTANCE_BUILDERS
 from ..solvers.anytime import (
     BEAM_NODE_LIMIT,
     beam_construct,
@@ -196,12 +187,20 @@ def _anytime(problem: PebblingProblem, **options: object) -> Schedule:
 # --------------------------------------------------------------------------- #
 
 
-def _family_tag(problem: PebblingProblem, expected: str) -> DAGFamily:
-    """The problem's family tag, checked against the adapter's family."""
+def _instance(problem: PebblingProblem, family: str):
+    """Regenerate the layout instance of the problem's ``family`` tag, checked.
+
+    Refuses a problem tagged with another family (or none) or posed in a
+    non-one-shot variant.  Guards against forged or malformed tags twice: a
+    tag whose parameters the generator rejects raises a :class:`SolverError`
+    rather than leaking the generator's ``ValueError``/``TypeError``, and a
+    tag that regenerates a *different* graph than the problem's DAG is
+    refused outright.
+    """
     fam = problem.family
-    if fam is None or fam.name != expected:
+    if fam is None or fam.name != family:
         raise SolverError(
-            f"this solver targets the {expected!r} family, "
+            f"this solver targets the {family!r} family, "
             f"but the problem's DAG carries {str(fam) if fam else 'no family tag'}"
         )
     if problem.variant != ONE_SHOT:
@@ -209,30 +208,17 @@ def _family_tag(problem: PebblingProblem, expected: str) -> DAGFamily:
             "the structured strategies are stated for the one-shot variant; "
             f"got {problem.variant.describe()}"
         )
-    return fam
-
-
-def _rebuild(problem: PebblingProblem, builder: Callable, *args: object):
-    """Regenerate the layout instance from the family tag and check it.
-
-    Guards against forged or malformed tags twice: a tag whose parameters the
-    generator rejects (missing keys surface as ``None``) raises a
-    :class:`SolverError` rather than leaking the generator's
-    ``ValueError``/``TypeError``, and a tag that regenerates a *different*
-    graph than the problem's DAG is refused outright.
-    """
+    builder = FAMILY_INSTANCE_BUILDERS[family]
     try:
-        inst = builder(*args)
-    except SolverError:
-        raise
+        inst = builder(**fam.as_dict())
     except Exception as exc:
         raise SolverError(
-            f"the family tag {problem.family} is malformed — "
+            f"the family tag {fam} is malformed — "
             f"{builder.__name__} rejected its parameters: {exc}"
         ) from exc
     if inst.dag != problem.dag:
         raise SolverError(
-            f"the family tag {problem.family} does not reproduce the problem's DAG "
+            f"the family tag {fam} does not reproduce the problem's DAG "
             f"(n={problem.dag.n}, m={problem.dag.m}); was the tag copied onto a different graph?"
         )
     return inst
@@ -246,10 +232,9 @@ def _rebuild(problem: PebblingProblem, builder: Callable, *args: object):
     min_r=lambda p: structured.FIGURE1_MIN_R,
 )
 def _figure1(problem: PebblingProblem, **options: object) -> Schedule:
-    fam = _family_tag(problem, "figure1")
-    if not fam.param("include_endpoints") or fam.param("with_z_layer") or fam.param("with_w0"):
+    inst = _instance(problem, "figure1")
+    if not inst.include_endpoints or inst.has_z_layer or inst.has_w0:
         raise SolverError("the A.1 strategy targets the plain Figure 1 DAG with endpoints")
-    inst = _rebuild(problem, figure1_instance, True)
     if problem.game == "rbp":
         return structured.figure1_rbp_schedule(inst, r=problem.r)
     return structured.figure1_prbp_schedule(inst, r=problem.r)
@@ -263,8 +248,7 @@ def _figure1(problem: PebblingProblem, **options: object) -> Schedule:
     min_r=lambda p: structured.CHAINED_GADGET_MIN_R,
 )
 def _chained_gadget(problem: PebblingProblem, **options: object) -> Schedule:
-    fam = _family_tag(problem, "chained_gadget")
-    inst = _rebuild(problem, chained_gadget_instance, fam.param("copies"))
+    inst = _instance(problem, "chained_gadget")
     return structured.chained_gadget_prbp_schedule(inst, r=problem.r)
 
 
@@ -276,8 +260,7 @@ def _chained_gadget(problem: PebblingProblem, **options: object) -> Schedule:
     min_r=lambda p: structured.matvec_min_r(p.family.param("m")),
 )
 def _matvec(problem: PebblingProblem, **options: object) -> Schedule:
-    fam = _family_tag(problem, "matvec")
-    inst = _rebuild(problem, matvec_instance, fam.param("m"))
+    inst = _instance(problem, "matvec")
     return structured.matvec_prbp_schedule(inst, r=problem.r)
 
 
@@ -289,8 +272,7 @@ def _matvec(problem: PebblingProblem, **options: object) -> Schedule:
     min_r=lambda p: structured.zipper_min_r(p.family.param("d")),
 )
 def _zipper(problem: PebblingProblem, **options: object) -> Schedule:
-    fam = _family_tag(problem, "zipper")
-    inst = _rebuild(problem, zipper_instance, fam.param("d"), fam.param("length"))
+    inst = _instance(problem, "zipper")
     if problem.game == "rbp":
         return structured.zipper_rbp_schedule(inst, r=problem.r)
     return structured.zipper_prbp_schedule(inst, r=problem.r)
@@ -304,8 +286,7 @@ def _zipper(problem: PebblingProblem, **options: object) -> Schedule:
     min_r=lambda p: structured.tree_min_r(p.family.param("k")),
 )
 def _tree(problem: PebblingProblem, **options: object) -> Schedule:
-    fam = _family_tag(problem, "kary_tree")
-    inst = _rebuild(problem, kary_tree_instance, fam.param("k"), fam.param("depth"))
+    inst = _instance(problem, "kary_tree")
     if problem.game == "rbp":
         return structured.tree_rbp_schedule(inst, r=problem.r)
     return structured.tree_prbp_schedule(inst, r=problem.r)
@@ -319,8 +300,7 @@ def _tree(problem: PebblingProblem, **options: object) -> Schedule:
     min_r=lambda p: structured.collection_min_r(p.family.param("d")),
 )
 def _collection(problem: PebblingProblem, **options: object) -> Schedule:
-    fam = _family_tag(problem, "pebble_collection")
-    inst = _rebuild(problem, pebble_collection_instance, fam.param("d"), fam.param("length"))
+    inst = _instance(problem, "pebble_collection")
     if problem.game == "rbp":
         return structured.collection_full_rbp_schedule(inst, r=problem.r)
     return structured.collection_full_prbp_schedule(inst, r=problem.r)
@@ -334,8 +314,7 @@ def _collection(problem: PebblingProblem, **options: object) -> Schedule:
     min_r=lambda p: structured.FANIN_MIN_R,
 )
 def _fanin(problem: PebblingProblem, **options: object) -> Schedule:
-    fam = _family_tag(problem, "fanin_groups")
-    inst = _rebuild(problem, fanin_groups_instance, fam.param("num_groups"), fam.param("group_size"))
+    inst = _instance(problem, "fanin_groups")
     return structured.fanin_groups_prbp_schedule(inst, r=problem.r)
 
 
@@ -347,8 +326,7 @@ def _fanin(problem: PebblingProblem, **options: object) -> Schedule:
     min_r=lambda p: structured.FFT_MIN_R,
 )
 def _fft(problem: PebblingProblem, **options: object) -> Schedule:
-    fam = _family_tag(problem, "fft")
-    inst = _rebuild(problem, fft_instance, fam.param("m"))
+    inst = _instance(problem, "fft")
     if problem.game == "rbp":
         return structured.fft_blocked_rbp_schedule(inst, r=problem.r)
     return structured.fft_blocked_prbp_schedule(inst, r=problem.r)
@@ -362,8 +340,7 @@ def _fft(problem: PebblingProblem, **options: object) -> Schedule:
     min_r=lambda p: structured.MATMUL_MIN_R,
 )
 def _matmul(problem: PebblingProblem, **options: object) -> Schedule:
-    fam = _family_tag(problem, "matmul")
-    inst = _rebuild(problem, matmul_instance, fam.param("m1"), fam.param("m2"), fam.param("m3"))
+    inst = _instance(problem, "matmul")
     return structured.matmul_tiled_prbp_schedule(inst, r=problem.r)
 
 
@@ -375,8 +352,7 @@ def _matmul(problem: PebblingProblem, **options: object) -> Schedule:
     min_r=lambda p: structured.attention_min_r(p.family.param("d")),
 )
 def _attention(problem: PebblingProblem, **options: object) -> Schedule:
-    fam = _family_tag(problem, "attention")
-    if fam.param("include_softmax"):
+    inst = _instance(problem, "attention")
+    if inst.include_softmax:
         raise SolverError("the flash-style strategy targets the truncated attention DAG")
-    inst = _rebuild(problem, attention_instance, fam.param("m"), fam.param("d"))
     return structured.attention_flash_prbp_schedule(inst, r=problem.r)

@@ -25,57 +25,42 @@ from ..bounds.analytic import (
     matmul_prbp_lower_bound,
     matvec_rbp_lower_bound,
 )
-from ..dags.attention import attention_dag
-from ..dags.fft import fft_dag
-from ..dags.gadgets import chained_gadget_dag
-from ..dags.linalg import matmul_dag, matvec_dag
-from ..dags.trees import kary_tree_dag, optimal_prbp_tree_cost, optimal_rbp_tree_cost
+from ..dags import FAMILY_INSTANCE_BUILDERS
+from ..dags.trees import optimal_prbp_tree_cost, optimal_rbp_tree_cost
 from ..core.variants import ONE_SHOT
 from .problem import PebblingProblem
 
 __all__ = ["best_lower_bound"]
 
-# Regenerators used to authenticate a family tag before any closed-form bound
-# is trusted: a stale or hand-copied tag on a different graph (e.g. an
-# induced subgraph) must contribute no bound, or `optimal` would be proved
-# against a DAG the problem does not contain.
-_FAMILY_DAG_BUILDERS = {
-    "matvec": lambda fam: matvec_dag(fam.param("m")),
-    "chained_gadget": lambda fam: chained_gadget_dag(fam.param("copies")),
-    "kary_tree": lambda fam: kary_tree_dag(fam.param("k"), fam.param("depth")),
-    "fft": lambda fam: fft_dag(fam.param("m")),
-    "matmul": lambda fam: matmul_dag(fam.param("m1"), fam.param("m2"), fam.param("m3")),
-    "attention": lambda fam: attention_dag(
-        fam.param("m"), fam.param("d"), bool(fam.param("include_softmax"))
-    ),
-}
-
 
 def _family_bounds(problem: PebblingProblem) -> List[Tuple[int, str]]:
     """All family-specific bounds whose preconditions ``problem`` satisfies.
 
-    A malformed family tag (missing or nonsensical parameters on a
-    hand-attached :class:`DAGFamily`) contributes no bound rather than
-    raising, and a tag that does not regenerate the problem's DAG — a stale
-    tag surviving an :meth:`induced_subgraph`, or one copied onto a different
-    graph — is rejected before any closed form is trusted.  In both cases
-    the trivial cost still stands.
+    A closed form is trusted only once the tag is authenticated: the tag's
+    builder in :data:`repro.dags.FAMILY_INSTANCE_BUILDERS` must regenerate
+    the problem's DAG.  A stale tag surviving an :meth:`induced_subgraph`,
+    or one copied onto a different graph, would otherwise prove ``optimal``
+    against a DAG the problem does not contain.  Only tags with an
+    applicable closed form are regenerated.  A malformed tag (missing or
+    nonsensical parameters on a hand-attached :class:`DAGFamily`) or one
+    that fails authentication contributes no bound rather than raising; the
+    trivial cost still stands.
     """
     fam = problem.family
     if fam is None:
         return []
     try:
-        builder = _FAMILY_DAG_BUILDERS.get(fam.name)
-        if builder is None or builder(fam) != problem.dag:
-            # Fail closed: a family with bounds but no regenerator entry gets
-            # no closed form, so the two tables cannot drift apart unsafely.
-            return []
-        return _family_bounds_checked(problem, fam)
+        bounds = _closed_forms(problem, fam)
+        builder = FAMILY_INSTANCE_BUILDERS.get(fam.name)
+        if not bounds or builder is None or builder(**fam.as_dict()).dag != problem.dag:
+            return []  # fail closed: an unauthenticated tag proves nothing
+        return bounds
     except Exception:
         return []
 
 
-def _family_bounds_checked(problem: PebblingProblem, fam) -> List[Tuple[int, str]]:
+def _closed_forms(problem: PebblingProblem, fam) -> List[Tuple[int, str]]:
+    """The closed-form bounds the tag's parameters give, before authentication."""
     r, game = problem.r, problem.game
     out: List[Tuple[int, str]] = []
     if fam.name == "matvec" and game == "rbp":

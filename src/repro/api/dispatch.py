@@ -84,7 +84,11 @@ def _run(
     bound: Tuple[Optional[int], str],
     **options: object,
 ) -> SolveResult:
-    """Run one solver and package its (validated) schedule into a result.
+    """Run one solver, replay its schedule once and package it into a result.
+
+    The ``stats()`` replay below is the only engine replay of a solver's
+    schedule: solvers return schedules unreplayed, and an illegal one raises
+    here.
 
     ``bound`` is the problem's precomputed ``best_lower_bound`` pair — it
     depends only on the problem, so callers compute it once per solve rather

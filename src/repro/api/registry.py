@@ -37,7 +37,7 @@ __all__ = [
 
 
 class Solver(Protocol):
-    """A solver maps a problem to a validated schedule.
+    """A solver maps a problem to a schedule; :func:`solve` replays it once.
 
     ``options`` are solver-specific knobs (e.g. ``budget`` for the state cap
     of the exhaustive search); implementations must ignore options they do

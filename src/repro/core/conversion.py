@@ -6,25 +6,24 @@ node ``v`` is replaced by (at most) ``deg_in(v)`` consecutive partial compute
 steps, one per in-edge; loads, saves and deletes translate one-to-one.  This
 immediately gives ``OPT_PRBP <= OPT_RBP`` whenever ``r >= Δ_in + 1``.
 
-The translation is purely syntactic except for two bookkeeping details that
-the converter handles:
+The translation is purely syntactic: it never replays a schedule.  A
+legal RBP schedule converts into a legal PRBP schedule; replaying the
+result (``validate``, ``cost`` or ``stats``) is the check, and
+:func:`repro.api.solve` does so once per solve.  Three details need care:
 
 * In RBP, a red pebble on ``v`` means "the final value of ``v`` is in fast
-  memory", and a save simply copies it to slow memory.  In PRBP, after the
-  last partial compute, ``v`` carries a *dark red* pebble, and an RBP delete
-  of an unsaved value is only legal once all of ``v``'s out-edges are marked.
-  Because we replay the RBP schedule faithfully, whenever RBP deletes a red
-  pebble from a node that still has unmarked out-edges but holds a blue
-  pebble (i.e. it was saved earlier), the node is in state
-  ``BLUE_LIGHT_RED`` and the delete is legal; whenever it has *no* blue
-  pebble, the RBP strategy itself can never use the value again (re-loading
-  requires a blue pebble), so in the one-shot game all of its consumed
-  out-edges were already computed — the converter therefore first marks any
-  remaining out-edge only if the RBP schedule computed the consumer later,
-  which cannot happen for a deleted, unsaved value.  In that case the
-  one-shot RBP schedule can only be valid if those consumers are never
-  computed at all, which the engine rejects; valid inputs never reach this
-  corner.
+  memory", and a save simply copies it to slow memory.  In PRBP, a red
+  pebble that came from a load or a save is *light* red (state
+  ``BLUE_LIGHT_RED``), and the PRBP save rule only applies to dark red
+  pebbles.  An RBP save of such a node copies a value slow memory already
+  holds — pure waste, but legal — so the converter keeps the I/O operation
+  and emits an equally priced (useless but legal) ``load`` instead.  It
+  tracks the nodes whose red pebble came from a load or a save; a compute
+  into the node or a delete ends that.
+* A PRBP delete of a dark red pebble is only legal once all of the node's
+  out-edges are marked.  A valid one-shot RBP schedule deletes an unsaved
+  value only after computing all its consumers (re-loading it would need a
+  blue pebble), so the translated delete is legal too.
 * Sliding computes (Appendix B.2) are rejected: they have no direct PRBP
   analogue (PRBP already aggregates in place).
 
@@ -34,7 +33,7 @@ the paper — so no PRBP → RBP converter exists.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Set
 
 from .dag import ComputationalDAG
 from .exceptions import IllegalMoveError
@@ -50,17 +49,22 @@ def convert_rbp_moves_to_prbp_moves(
 ) -> List[PRBPMove]:
     """Translate an RBP move list into a PRBP move list of equal I/O cost.
 
-    The caller is responsible for the RBP schedule being valid; the result is
-    meant to be validated by replaying it through :class:`PRBPGame`.
+    Redundant saves become loads, as described in the module docstring.
+    Nothing is replayed here.
     """
     out: List[PRBPMove] = []
+    light_red: Set[int] = set()  # nodes whose red pebble came from a load or a save
     for mv in moves:
         if mv.kind is MoveKind.LOAD:
             out.append(PRBPMove(MoveKind.LOAD, node=mv.node))
+            light_red.add(mv.node)
         elif mv.kind is MoveKind.SAVE:
-            out.append(PRBPMove(MoveKind.SAVE, node=mv.node))
+            redundant = mv.node in light_red
+            out.append(PRBPMove(MoveKind.LOAD if redundant else MoveKind.SAVE, node=mv.node))
+            light_red.add(mv.node)
         elif mv.kind is MoveKind.DELETE:
             out.append(PRBPMove(MoveKind.DELETE, node=mv.node))
+            light_red.discard(mv.node)
         elif mv.kind is MoveKind.COMPUTE:
             if mv.slide_from is not None:
                 raise IllegalMoveError(
@@ -69,28 +73,22 @@ def convert_rbp_moves_to_prbp_moves(
                 )
             for u in dag.predecessors(mv.node):
                 out.append(PRBPMove(MoveKind.COMPUTE, edge=(u, mv.node)))
+            light_red.discard(mv.node)
         else:  # pragma: no cover - RBP moves cannot be CLEAR
             raise IllegalMoveError(f"unexpected RBP move kind {mv.kind!r}")
     return out
 
 
 def convert_rbp_to_prbp(schedule: RBPSchedule) -> PRBPSchedule:
-    """Convert a validated RBP schedule into a PRBP schedule of the same I/O cost.
+    """Convert an RBP schedule into a PRBP schedule of the same I/O cost.
 
-    The PRBP side has one subtlety the raw move translation cannot see: an
-    RBP save of a node that was *loaded* (not freshly computed) copies a
-    value that slow memory already holds, which in PRBP corresponds to a node
-    in state ``BLUE_LIGHT_RED`` — and the PRBP save rule only applies to dark
-    red pebbles.  Such saves are pure waste in RBP (the blue pebble is
-    already there), but they are legal, so to preserve validity *and* cost we
-    keep the I/O operation and emit a (useless but legal) ``load`` instead.
-    The converted schedule therefore always has exactly the same I/O cost.
+    Nothing is replayed here: a legal ``schedule`` gives a legal result, and
+    the result's ``validate``/``cost``/``stats`` replay it.
     """
-    prbp_moves = convert_rbp_moves_to_prbp_moves(schedule.dag, schedule.moves)
-    converted = PRBPSchedule(
+    return PRBPSchedule(
         dag=schedule.dag,
         r=schedule.r,
-        moves=prbp_moves,
+        moves=convert_rbp_moves_to_prbp_moves(schedule.dag, schedule.moves),
         variant=GameVariant(
             one_shot=schedule.variant.one_shot,
             allow_delete=schedule.variant.allow_delete,
@@ -98,22 +96,3 @@ def convert_rbp_to_prbp(schedule: RBPSchedule) -> PRBPSchedule:
         ),
         description=f"converted from RBP ({schedule.description or 'unnamed'})",
     )
-    # Repair the redundant-save corner case described in the docstring: replay
-    # and replace any save that is illegal because the node is BLUE_LIGHT_RED
-    # by an equally priced redundant load.
-    from .prbp import PRBPGame
-    from .pebbles import PRBPState
-
-    game = PRBPGame(converted.dag, converted.r, variant=converted.variant, record_history=False)
-    repaired: List[PRBPMove] = []
-    for mv in converted.moves:
-        if (
-            mv.kind is MoveKind.SAVE
-            and mv.node is not None
-            and game.node_state(mv.node) is PRBPState.BLUE_LIGHT_RED
-        ):
-            mv = PRBPMove(MoveKind.LOAD, node=mv.node)
-        game.apply(mv)
-        repaired.append(mv)
-    converted.moves = repaired
-    return converted

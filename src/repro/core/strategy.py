@@ -1,9 +1,10 @@
-"""Schedule containers: validated pebbling strategies with cost accounting.
+"""Schedule containers: pebbling strategies with cost accounting.
 
 The solvers and the structured strategy generators all return
 :class:`RBPSchedule` or :class:`PRBPSchedule` objects — a move list bundled
 with the DAG, the capacity and the variant it was built for.  The
-``validate`` / ``cost`` helpers replay the schedule through the engine, so a
+``validate`` / ``cost`` / ``stats`` helpers replay the schedule through the
+engine; :func:`repro.api.solve` calls ``stats`` exactly once per solve, so a
 reported cost is always the cost of an actually legal pebbling, never a
 formula taken on faith.
 """
@@ -11,7 +12,7 @@ formula taken on faith.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Union
 
 from .dag import ComputationalDAG
 from .moves import MoveKind, PRBPMove, RBPMove
@@ -41,9 +42,12 @@ class ScheduleStats:
         return self.loads + self.saves + self.computes + self.deletes + self.clears
 
 
-def _count_kinds(moves: Sequence) -> Tuple[int, int, int, int, int]:
-    loads = saves = computes = deletes = clears = 0
+def _replay_stats(game: Union[RBPGame, PRBPGame], moves: Sequence) -> ScheduleStats:
+    """Apply ``moves`` to a fresh engine ``game`` and summarise the completed pebbling."""
+    peak = loads = saves = computes = deletes = clears = 0
     for mv in moves:
+        game.apply(mv)
+        peak = max(peak, game.red_count())
         if mv.kind is MoveKind.LOAD:
             loads += 1
         elif mv.kind is MoveKind.SAVE:
@@ -54,7 +58,17 @@ def _count_kinds(moves: Sequence) -> Tuple[int, int, int, int, int]:
             deletes += 1
         elif mv.kind is MoveKind.CLEAR:
             clears += 1
-    return loads, saves, computes, deletes, clears
+    game.assert_terminal()
+    return ScheduleStats(
+        io_cost=game.io_cost,
+        loads=loads,
+        saves=saves,
+        computes=computes,
+        deletes=deletes,
+        clears=clears,
+        total_cost=game.total_cost,
+        peak_red=peak,
+    )
 
 
 @dataclass
@@ -82,22 +96,7 @@ class RBPSchedule:
     def stats(self) -> ScheduleStats:
         """Replay the schedule and return per-kind move counts and the peak red-pebble usage."""
         game = RBPGame(self.dag, self.r, variant=self.variant, record_history=False)
-        peak = 0
-        for mv in self.moves:
-            game.apply(mv)
-            peak = max(peak, game.red_count())
-        game.assert_terminal()
-        loads, saves, computes, deletes, clears = _count_kinds(self.moves)
-        return ScheduleStats(
-            io_cost=game.io_cost,
-            loads=loads,
-            saves=saves,
-            computes=computes,
-            deletes=deletes,
-            clears=clears,
-            total_cost=game.total_cost,
-            peak_red=peak,
-        )
+        return _replay_stats(game, self.moves)
 
     def __len__(self) -> int:
         return len(self.moves)
@@ -124,22 +123,7 @@ class PRBPSchedule:
     def stats(self) -> ScheduleStats:
         """Replay the schedule and return per-kind move counts and the peak red-pebble usage."""
         game = PRBPGame(self.dag, self.r, variant=self.variant, record_history=False)
-        peak = 0
-        for mv in self.moves:
-            game.apply(mv)
-            peak = max(peak, game.red_count())
-        game.assert_terminal()
-        loads, saves, computes, deletes, clears = _count_kinds(self.moves)
-        return ScheduleStats(
-            io_cost=game.io_cost,
-            loads=loads,
-            saves=saves,
-            computes=computes,
-            deletes=deletes,
-            clears=clears,
-            total_cost=game.total_cost,
-            peak_red=peak,
-        )
+        return _replay_stats(game, self.moves)
 
     def io_subsequence_boundaries(self) -> List[int]:
         """Indices (into ``moves``) that end each block of ``r`` I/O operations.

@@ -43,7 +43,26 @@ from .trees import (
     optimal_rbp_tree_cost,
 )
 
+#: Family tag name → the ``*_instance`` builder whose generator writes that
+#: tag.  Every tag's keys equal its builder's keyword names, so
+#: ``FAMILY_INSTANCE_BUILDERS[fam.name](**fam.as_dict())`` regenerates the
+#: layout (and ``.dag``) of a tagged DAG.
+FAMILY_INSTANCE_BUILDERS = {
+    "attention": attention_instance,
+    "chained_gadget": chained_gadget_instance,
+    "fanin_groups": fanin_groups_instance,
+    "fft": fft_instance,
+    "figure1": figure1_instance,
+    "kary_tree": kary_tree_instance,
+    "matmul": matmul_instance,
+    "matvec": matvec_instance,
+    "pebble_collection": pebble_collection_instance,
+    "pyramid": pyramid_instance,
+    "zipper": zipper_instance,
+}
+
 __all__ = [
+    "FAMILY_INSTANCE_BUILDERS",
     "AttentionInstance",
     "attention_dag",
     "attention_instance",

@@ -203,11 +203,12 @@ def _game_of(schedule: Schedule) -> str:
 
 
 def schedule_io_count(schedule: Schedule) -> int:
-    """I/O cost of an *already validated* schedule — just its I/O move count.
+    """I/O cost of a schedule taken as legal — just its I/O move count.
 
     The single definition of "schedule cost without a replay"; the adapter
-    layer uses it to rank seed schedules, and the refinement internals use
-    it on rebuilds that are legal by construction.
+    layer uses it to rank seed schedules (:func:`refine_schedule` replays the
+    chosen one up front), and the refinement internals use it on rebuilds
+    that are legal by construction.
     """
     return _io_count(schedule.moves)
 

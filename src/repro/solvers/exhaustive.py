@@ -187,8 +187,10 @@ def _compute_root_lower_bound(
             lb = max(lb, prbp_dominator_lower_bound_exact(dag, r))
             if dag.m <= ROOT_BOUND_EDGE_LIMIT:
                 lb = max(lb, prbp_edge_lower_bound_exact(dag, r))
-    except SolverError:
-        pass  # partition machinery refused the instance; the trivial cost stands
+    except (SolverError, ImportError):
+        # the partition machinery refused the instance, or its optional
+        # networkx dependency is absent: the trivial cost stands
+        pass
     return lb
 
 
@@ -745,9 +747,7 @@ def optimal_rbp_schedule(
     search = _RBPSearch(dag, r, variant, max_states)
     cost, goal, parent = _astar(search, max_states)
     moves = _reconstruct(parent, goal)
-    schedule = RBPSchedule(dag, r, moves, variant=variant, description="exhaustive optimum")
-    schedule.validate()
-    return schedule
+    return RBPSchedule(dag, r, moves, variant=variant, description="exhaustive optimum")
 
 
 def optimal_rbp_cost(
@@ -775,9 +775,7 @@ def optimal_prbp_schedule(
     search = _PRBPSearch(dag, r, variant, max_states)
     cost, goal, parent = _astar(search, max_states)
     moves = _reconstruct(parent, goal)
-    schedule = PRBPSchedule(dag, r, moves, variant=variant, description="exhaustive optimum")
-    schedule.validate()
-    return schedule
+    return PRBPSchedule(dag, r, moves, variant=variant, description="exhaustive optimum")
 
 
 def optimal_prbp_cost(

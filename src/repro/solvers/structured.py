@@ -1,9 +1,10 @@
 """Structured pebbling strategies: the explicit constructions analysed in the paper.
 
 Every function here emits an *explicit move list* for a specific DAG family
-and immediately replays it through the corresponding engine, so the returned
-schedule is guaranteed to be legal and its cost is the cost of an actual
-pebbling.  The families and the costs they achieve:
+and returns it without replaying it.  :func:`repro.api.solve` replays every
+schedule it returns exactly once and raises on an illegal one; direct
+callers replay with the schedule's ``validate``, ``cost`` or ``stats``
+method.  The families and the costs they achieve:
 
 =========================================  =============================================
 strategy                                    paper reference / achieved cost
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Tuple
 
+from ..core.conversion import convert_rbp_to_prbp
 from ..core.exceptions import SolverError
 from ..core.moves import MoveKind, PRBPMove, RBPMove
 from ..core.strategy import PRBPSchedule, RBPSchedule
@@ -180,9 +182,7 @@ def figure1_prbp_schedule(inst: Optional[Figure1Instance] = None, r: Optional[in
         _comp(g.v2, g.v0),
         _save(g.v0),
     ]
-    schedule = PRBPSchedule(g.dag, r, moves, description="Appendix A.1 PRBP strategy")
-    schedule.validate()
-    return schedule
+    return PRBPSchedule(g.dag, r, moves, description="Appendix A.1 PRBP strategy")
 
 
 def figure1_rbp_schedule(inst: Optional[Figure1Instance] = None, r: Optional[int] = None) -> RBPSchedule:
@@ -221,9 +221,7 @@ def figure1_rbp_schedule(inst: Optional[Figure1Instance] = None, r: Optional[int
         C(g.v0),
         S(g.v0),
     ]
-    schedule = RBPSchedule(g.dag, r, moves, description="Appendix A.1 RBP strategy")
-    schedule.validate()
-    return schedule
+    return RBPSchedule(g.dag, r, moves, description="Appendix A.1 RBP strategy")
 
 
 # --------------------------------------------------------------------------- #
@@ -276,11 +274,9 @@ def chained_gadget_prbp_schedule(
         _dele(last["v2"]),
         _save(inst.v0),
     ]
-    schedule = PRBPSchedule(
+    return PRBPSchedule(
         inst.dag, r, moves, description=f"Proposition 4.7 PRBP strategy ({inst.copies} copies)"
     )
-    schedule.validate()
-    return schedule
 
 
 # --------------------------------------------------------------------------- #
@@ -317,11 +313,9 @@ def matvec_prbp_schedule(inst: Optional[MatVecInstance] = None, m: int = 4, r: O
         moves.append(_dele(xi))
     for j in range(m):
         moves.append(_save(inst.y(j)))
-    schedule = PRBPSchedule(
+    return PRBPSchedule(
         inst.dag, r, moves, description="Proposition 4.3 column-streaming PRBP strategy"
     )
-    schedule.validate()
-    return schedule
 
 
 # --------------------------------------------------------------------------- #
@@ -375,11 +369,9 @@ def zipper_prbp_schedule(inst: Optional[ZipperInstance] = None, d: int = 3, leng
     moves.append(_dele(prev))
     for b in inst.group_b:
         moves.append(_dele(b))
-    schedule = PRBPSchedule(
+    return PRBPSchedule(
         inst.dag, r, moves, description="Proposition 4.4 two-phase PRBP strategy"
     )
-    schedule.validate()
-    return schedule
 
 
 def zipper_rbp_schedule(inst: Optional[ZipperInstance] = None, d: int = 3, length: int = 8, r: Optional[int] = None) -> RBPSchedule:
@@ -415,11 +407,9 @@ def zipper_rbp_schedule(inst: Optional[ZipperInstance] = None, d: int = 3, lengt
             moves.append(D(prev))
         prev = c
     moves.append(S(prev))
-    schedule = RBPSchedule(
+    return RBPSchedule(
         inst.dag, r, moves, description="alternating-group RBP strategy for the zipper gadget"
     )
-    schedule.validate()
-    return schedule
 
 
 # --------------------------------------------------------------------------- #
@@ -476,11 +466,9 @@ def tree_rbp_schedule(inst: Optional[TreeInstance] = None, k: int = 2, depth: in
 
     pebble(0, 0)
     moves.append(S(inst.root))
-    schedule = RBPSchedule(
+    return RBPSchedule(
         inst.dag, r, moves, description="Appendix A.2 RBP strategy for k-ary trees"
     )
-    schedule.validate()
-    return schedule
 
 
 def tree_prbp_schedule(inst: Optional[TreeInstance] = None, k: int = 2, depth: int = 3, r: Optional[int] = None) -> PRBPSchedule:
@@ -536,11 +524,9 @@ def tree_prbp_schedule(inst: Optional[TreeInstance] = None, k: int = 2, depth: i
     pebble(0, 0)
     moves.append(_save(inst.root))
     moves.append(_dele(inst.root))
-    schedule = PRBPSchedule(
+    return PRBPSchedule(
         inst.dag, r, moves, description="Appendix A.2 PRBP strategy for k-ary trees"
     )
-    schedule.validate()
-    return schedule
 
 
 # --------------------------------------------------------------------------- #
@@ -571,11 +557,9 @@ def collection_full_rbp_schedule(
             moves.append(D(prev))
         prev = c
     moves.append(S(prev))
-    schedule = RBPSchedule(
+    return RBPSchedule(
         inst.dag, r, moves, description="full-pebble RBP strategy for the collection gadget"
     )
-    schedule.validate()
-    return schedule
 
 
 def collection_full_prbp_schedule(
@@ -599,11 +583,9 @@ def collection_full_prbp_schedule(
     moves.append(_dele(prev))
     for u in inst.sources:
         moves.append(_dele(u))
-    schedule = PRBPSchedule(
+    return PRBPSchedule(
         inst.dag, r, moves, description="full-pebble PRBP strategy for the collection gadget"
     )
-    schedule.validate()
-    return schedule
 
 
 # --------------------------------------------------------------------------- #
@@ -629,11 +611,9 @@ def fanin_groups_prbp_schedule(
         moves.append(_dele(u))
     moves.append(_save(sink))
     moves.append(_dele(sink))
-    schedule = PRBPSchedule(
+    return PRBPSchedule(
         inst.dag, r, moves, description="Lemma 5.4 group-streaming PRBP strategy"
     )
-    schedule.validate()
-    return schedule
 
 
 # --------------------------------------------------------------------------- #
@@ -685,21 +665,14 @@ def fft_blocked_rbp_schedule(inst: Optional[FFTInstance] = None, m: int = 16, r:
                 moves.append(S(inst.node(t0 + span, j)))
                 moves.append(D(inst.node(t0 + span, j)))
         t0 += span
-    schedule = RBPSchedule(
+    return RBPSchedule(
         inst.dag, r, moves, description=f"blocked RBP strategy ({s} levels per pass)"
     )
-    schedule.validate()
-    return schedule
 
 
 def fft_blocked_prbp_schedule(inst: Optional[FFTInstance] = None, m: int = 16, r: Optional[int] = None) -> PRBPSchedule:
     """The blocked FFT strategy converted to PRBP (Proposition 4.1): identical I/O cost."""
-    from ..core.conversion import convert_rbp_to_prbp
-
-    rbp_schedule = fft_blocked_rbp_schedule(inst, m, r)
-    prbp_schedule = convert_rbp_to_prbp(rbp_schedule)
-    prbp_schedule.validate()
-    return prbp_schedule
+    return convert_rbp_to_prbp(fft_blocked_rbp_schedule(inst, m, r))
 
 
 # --------------------------------------------------------------------------- #
@@ -758,11 +731,9 @@ def matmul_tiled_prbp_schedule(
                 for j in range(j0, j0 + bj):
                     moves.append(_save(inst.c(i, j)))
                     moves.append(_dele(inst.c(i, j)))
-    schedule = PRBPSchedule(
+    return PRBPSchedule(
         inst.dag, r, moves, description=f"outer-product tiled PRBP strategy (block {b})"
     )
-    schedule.validate()
-    return schedule
 
 
 # --------------------------------------------------------------------------- #
@@ -819,8 +790,6 @@ def attention_flash_prbp_schedule(
                 moves.append(_dele(kt))
         for q in q_nodes:
             moves.append(_dele(q))
-    schedule = PRBPSchedule(
+    return PRBPSchedule(
         inst.dag, r, moves, description=f"flash-style tiled PRBP strategy (row block {bi})"
     )
-    schedule.validate()
-    return schedule

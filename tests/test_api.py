@@ -1,5 +1,7 @@
 """Tests for the repro.api facade: problem, registry, portfolio dispatch, results."""
 
+import sys
+
 import pytest
 
 from repro.api import (
@@ -12,8 +14,12 @@ from repro.api import (
     solver_names,
     unregister_solver,
 )
-from repro.core.dag import DAGFamily
-from repro.core.exceptions import SolverError
+from repro.core.dag import ComputationalDAG, DAGFamily
+from repro.core.exceptions import IllegalMoveError, SolverError
+from repro.core.moves import rbp
+from repro.core.prbp import PRBPGame
+from repro.core.rbp import RBPGame
+from repro.core.strategy import RBPSchedule
 from repro.core.variants import ONE_SHOT
 from repro.dags import (
     attention_dag,
@@ -29,6 +35,7 @@ from repro.dags import (
     random_layered_dag,
     zipper_gadget,
 )
+from repro.solvers.exhaustive import root_lower_bound_cache_clear
 from repro.solvers.greedy import topological_prbp_schedule
 
 
@@ -100,6 +107,19 @@ class TestRegistry:
             assert result.cost == result.schedule.cost()
         finally:
             unregister_solver("test-custom")
+
+    def test_illegal_custom_schedule_raises_in_solve(self):
+        @register_solver("test-illegal", games=("rbp",), description="test only")
+        def illegal(problem, **options):
+            # computes the sink before loading either of its inputs
+            return RBPSchedule(problem.dag, problem.r, [rbp.compute(2)])
+
+        try:
+            problem = PebblingProblem(ComputationalDAG(3, [(0, 2), (1, 2)]), r=3, game="rbp")
+            with pytest.raises(IllegalMoveError):
+                solve(problem, solver="test-illegal")
+        finally:
+            unregister_solver("test-illegal")
 
 
 # (dag, r, game, expected winning solver) — all DAGs large enough to skip the
@@ -257,6 +277,45 @@ class TestSolveResult:
         broken = replace(good, lower_bound=good.cost + 1, exact_solver=False)
         with pytest.raises(PebblingError, match="strictly below"):
             broken.optimal
+
+
+class TestSolveBoundary:
+    """``solve()`` replays every returned schedule exactly once, and needs only numpy."""
+
+    @pytest.mark.parametrize(
+        "solver, dag, r, game",
+        [
+            ("tree", kary_tree_dag(2, 4), 3, "prbp"),
+            ("matvec-streaming", matvec_dag(4), 7, "prbp"),
+            ("fft-blocked", fft_dag(16), 4, "rbp"),
+            ("fft-blocked", fft_dag(16), 4, "prbp"),
+            ("exhaustive", figure1_gadget(), 4, "prbp"),
+        ],
+        ids=["tree-prbp", "matvec-prbp", "fft-rbp", "fft-prbp", "exhaustive-prbp"],
+    )
+    def test_one_engine_replay_per_solve(self, monkeypatch, solver, dag, r, game):
+        constructed = []
+        for game_cls in (RBPGame, PRBPGame):
+            original = game_cls.__init__
+
+            def counting_init(self, *args, _original=original, **kwargs):
+                constructed.append(type(self).__name__)
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(game_cls, "__init__", counting_init)
+        solve(PebblingProblem(dag, r=r, game=game), solver=solver)
+        assert len(constructed) == 1, constructed
+
+    def test_numpy_only_solve_uses_the_trivial_root_bound(self, monkeypatch):
+        problems = [PebblingProblem(kary_tree_dag(2, 2), r=3, game=g) for g in ("rbp", "prbp")]
+        root_lower_bound_cache_clear()
+        with_networkx = [solve(p).cost for p in problems]
+        root_lower_bound_cache_clear()
+        monkeypatch.setitem(sys.modules, "networkx", None)  # import networkx now raises
+        try:
+            assert [solve(p).cost for p in problems] == with_networkx
+        finally:
+            root_lower_bound_cache_clear()
 
 
 class TestBackCompat:

@@ -92,6 +92,29 @@ class TestProposition41Conversion:
         assert len(computes) == 2
         assert {m.edge for m in computes} == {(0, 2), (1, 2)}
 
+    def test_redundant_saves_become_loads(self):
+        # saves of a node whose red pebble came from a load or a save copy a
+        # value slow memory already holds; PRBP forbids saving a light red
+        # pebble, so each must become an equally priced load
+        dag = ComputationalDAG(3, [(0, 2), (1, 2)])
+        moves = [
+            rbp.load(0),
+            rbp.save(0),  # redundant: 0 was just loaded
+            rbp.load(1),
+            rbp.compute(2),
+            rbp.save(2),
+            rbp.save(2),  # redundant: 2 was just saved
+            rbp.delete(0),
+            rbp.load(0),
+            rbp.save(0),  # redundant: 0 was reloaded
+        ]
+        rbp_schedule = RBPSchedule(dag, 3, moves)
+        prbp_schedule = convert_rbp_to_prbp(rbp_schedule)
+        assert prbp_schedule.cost() == rbp_schedule.cost() == 7
+        io = [(m.kind, m.node) for m in prbp_schedule.moves if m.is_io]
+        L, S = MoveKind.LOAD, MoveKind.SAVE
+        assert io == [(L, 0), (L, 0), (L, 1), (S, 2), (L, 2), (L, 0), (L, 0)]
+
     def test_sliding_moves_cannot_be_converted(self):
         dag = ComputationalDAG(2, [(0, 1)])
         with pytest.raises(IllegalMoveError):

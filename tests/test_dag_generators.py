@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dags import (
+    FAMILY_INSTANCE_BUILDERS,
     attention_instance,
     binary_tree_instance,
     chained_gadget_instance,
@@ -267,3 +268,31 @@ class TestRandomDAGs:
             random_dag(1)
         with pytest.raises(ValueError):
             random_layered_dag([2, 2], edge_probability=1.5)
+
+
+# one instance per tagged family, with non-default parameters where possible
+FAMILY_SAMPLES = [
+    attention_instance(3, 2, include_softmax=True),
+    chained_gadget_instance(2),
+    fanin_groups_instance(3, 4),
+    fft_instance(8),
+    figure1_instance(with_z_layer=True),
+    binary_tree_instance(3),
+    matmul_instance(2, 3, 2),
+    matvec_instance(3),
+    pebble_collection_instance(2, 5),
+    pyramid_instance(3),
+    zipper_instance(2, 4),
+]
+
+
+class TestFamilyTable:
+    def test_table_has_one_builder_per_sampled_family(self):
+        assert {inst.dag.family.name for inst in FAMILY_SAMPLES} == set(FAMILY_INSTANCE_BUILDERS)
+
+    @pytest.mark.parametrize("inst", FAMILY_SAMPLES, ids=lambda inst: inst.dag.family.name)
+    def test_every_tag_regenerates_its_dag(self, inst):
+        fam = inst.dag.family
+        rebuilt = FAMILY_INSTANCE_BUILDERS[fam.name](**fam.as_dict())
+        assert rebuilt.dag == inst.dag
+        assert rebuilt.dag.family == fam
