@@ -31,7 +31,6 @@ from .compare import (
 from .report import (
     SCHEMA_NAME,
     SCHEMA_VERSION,
-    SUPPORTED_SCHEMA_VERSIONS,
     build_report,
     environment_metadata,
     load_report,
@@ -72,7 +71,6 @@ __all__ = [
     "run_suite",
     "SCHEMA_NAME",
     "SCHEMA_VERSION",
-    "SUPPORTED_SCHEMA_VERSIONS",
     "build_report",
     "environment_metadata",
     "write_report",

@@ -15,11 +15,10 @@ Given the current report and a baseline report, flags
 
 Improvements (faster, cheaper) are reported informationally and never fail.
 
-The comparator is tolerant of the schema-2 additions: it reads only the
-fields both versions share (``io_cost``, ``wall_time_s``, ``error``,
-``expected_ok``), so a version-2 run gates cleanly against a version-1
-baseline whose records lack the ``refine_*`` trajectory fields — refined
-costs simply show up as ordinary ``io_cost`` improvements.
+The comparator reads only ``io_cost``, ``wall_time_s``, ``error`` and
+``expected_ok`` from each record.  Baselines are read with
+:func:`~repro.bench.report.load_report`, which accepts the current schema
+version only, so a baseline is re-recorded when the schema moves.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 The report format is the contract between a benchmark run and everything
 downstream of it — the CI artifact, the regression comparator, and any
-plotting/tracking tooling.  Backward-incompatible changes must bump
-:data:`SCHEMA_VERSION`; :func:`load_report` refuses documents from a
-different major schema rather than mis-reading them.
+plotting/tracking tooling.  Layout changes bump :data:`SCHEMA_VERSION`;
+:func:`load_report` refuses documents of any other version rather than
+mis-reading them, so a baseline is re-recorded whenever the version moves.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .runner import ScenarioRecord
 __all__ = [
     "SCHEMA_NAME",
     "SCHEMA_VERSION",
-    "SUPPORTED_SCHEMA_VERSIONS",
     "build_report",
     "environment_metadata",
     "write_report",
@@ -39,11 +38,6 @@ SCHEMA_NAME = "repro-prbp-bench"
 #: fields (``replay_speedup``, ``replay_schedules_per_s``,
 #: ``replay_engine_schedules_per_s``).
 SCHEMA_VERSION = 3
-
-#: Versions :func:`load_report` accepts.  Older documents lack the newer
-#: additive fields, which every consumer treats as absent/None — keeping
-#: them loadable lets ``--compare`` gate a v3 run against a v1/v2 baseline.
-SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3)
 
 
 def environment_metadata() -> Dict[str, object]:
@@ -75,8 +69,7 @@ def build_report(
     """Assemble the full report document for a finished suite run.
 
     ``jobs`` and ``cache`` (a :class:`~repro.api.ResultCache`, or ``None``)
-    document *how* the numbers were produced; both are additive envelope
-    fields, so documents stay readable by schema-version-1 consumers.
+    document *how* the numbers were produced.
     """
     failures = [rec.scenario for rec in records if not rec.ok]
     total_time = sum(rec.wall_time_s or 0.0 for rec in records)
@@ -118,7 +111,7 @@ def load_report(path: Union[str, "os.PathLike[str]"]) -> Dict[str, object]:
     ------
     ValueError
         If the file is not a BENCH report (wrong ``schema``), comes from an
-        incompatible ``schema_version``, or lacks the ``scenarios`` list.
+        other ``schema_version``, or lacks the ``scenarios`` list.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -128,10 +121,10 @@ def load_report(path: Union[str, "os.PathLike[str]"]) -> Dict[str, object]:
             f"(schema = {doc.get('schema') if isinstance(doc, dict) else type(doc).__name__!r})"
         )
     version = doc.get("schema_version")
-    if version not in SUPPORTED_SCHEMA_VERSIONS:
+    if version != SCHEMA_VERSION:
         raise ValueError(
             f"{path}: schema_version {version!r} is not supported "
-            f"(this build reads versions {SUPPORTED_SCHEMA_VERSIONS})"
+            f"(this build reads version {SCHEMA_VERSION})"
         )
     scenarios = doc.get("scenarios")
     if not isinstance(scenarios, list):

@@ -1,47 +1,30 @@
-"""Service-mode benchmark: throughput and tail latency of the solve daemon.
+"""Service load harness: open-loop throughput and tail latency of the solve daemon.
 
 The scenario registry measures *solves*; this module measures the *service*
 around them — what :mod:`repro.service` adds (framing, admission, worker
-hand-off, shared-cache lookups) and what it amortises (a warm cache across
-clients).  One in-process :class:`~repro.service.SolveService` is driven by
-``clients`` concurrent TCP clients, each walking the same mixed quick-tier
-workload in a rotated order (so distinct problems are in flight at once and
-the in-flight dedup path is exercised, not just the cache).  Every request's
-wall-clock latency is recorded client-side, then summarised as requests/s
-and p50/p90/p99.
+hand-off, shared-cache lookups, routing).  Requests arrive on a seeded
+Poisson process at ``--rate`` req/s whether or not earlier ones finished
+(an *open* loop: a closed loop of synchronised clients would slow its
+offered rate whenever the service slows down, hiding exactly the overload
+behaviour worth measuring).  Latency is measured from each request's
+*scheduled* arrival, so scheduler lag counts against the service, not for
+it (no coordinated omission).  The workload is sampled per-request from the
+scenario mix or — with ``--corpus`` — from a corpus JSONL via the store's
+deterministic sampler.
 
-Two phases per run make the cache's contribution visible instead of
-averaged away:
-
-* **cold** — the service starts with an empty cache; every distinct problem
-  is solved once, repeats within the phase hit the warming cache;
-* **warm** — the same workload again; every request should be a cache
-  answer, so this phase is a pure protocol + lookup measurement.
-
-Numbers are wall-clock on whatever host runs them and are **not** gated by
-the ``--compare`` regression machinery — the scenario registry's
-deterministic costs are the gate; this report is for tracking.  Run it as
+By default one in-process :class:`~repro.service.SolveService` is booted;
+``--cluster N`` boots a full in-process cluster (one digest-routing
+:class:`~repro.service.router.SolveRouter` over N backends) and the report
+then carries the router's shard/cache/failover counters; ``--connect``
+drives an already-running node.  The SLO document (p50/p99/p99.9 latency,
+goodput, shed rate, exact outcome accounting) can be gated against a
+committed baseline with ``--compare`` (exit 2 on regression), which is what
+CI does with ``benchmarks/SERVICE_BASELINE.json``.  For in-process
+topologies the report also carries an ``attribution`` section splitting
+server-side time into queue wait vs. solve execution (merged from every
+backend's metrics registry), so a latency regression can be blamed on
+admission backlog or on the solves themselves.  Run it as
 ``python -m repro.bench.service_bench`` (see ``--help``).
-
-**Open-loop mode** (``--open-loop``) is the cluster load harness: instead
-of ``clients`` synchronised walkers (a *closed* loop, whose offered rate
-collapses whenever the service slows down — hiding exactly the overload
-behaviour worth measuring), requests arrive on a seeded Poisson process at
-``--rate`` req/s whether or not earlier ones finished.  Latency is
-measured from each request's *scheduled* arrival, so scheduler lag counts
-against the service, not for it (no coordinated omission).  The workload
-is sampled per-request from the scenario mix or — with ``--corpus`` — from
-a corpus JSONL via the store's deterministic sampler.  ``--cluster N``
-boots a full in-process cluster (one digest-routing
-:class:`~repro.service.router.SolveRouter` over N backends); the report
-then carries the router's shard/cache/failover counters.  The SLO document
-(p50/p99/p99.9 latency, goodput, shed rate, exact outcome accounting) can
-be gated against a committed baseline with ``--compare`` (exit 2 on
-regression), which is what CI does with ``benchmarks/SERVICE_BASELINE.json``.
-For in-process topologies the report also carries an ``attribution``
-section splitting server-side time into queue wait vs. solve execution
-(merged from every backend's metrics registry), so a latency regression
-can be blamed on admission backlog or on the solves themselves.
 """
 
 from __future__ import annotations
@@ -51,7 +34,6 @@ import asyncio
 import json
 import statistics
 import sys
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -60,21 +42,15 @@ from .report import environment_metadata
 from .scenario import materialize_scenario
 
 __all__ = [
-    "SERVICE_BENCH_SCHEMA",
     "SERVICE_SLO_SCHEMA",
     "DEFAULT_WORKLOAD",
-    "RequestSample",
     "OpenLoopSample",
-    "run_service_benchmark",
     "run_open_loop_benchmark",
     "compare_slo",
     "main",
 ]
 
-#: Document identifier of the json this module writes.
-SERVICE_BENCH_SCHEMA = "repro-prbp-service-bench"
-
-#: Document identifier of the open-loop SLO report.
+#: Document identifier of the SLO report this module writes.
 SERVICE_SLO_SCHEMA = "repro-prbp-service-slo"
 
 #: Error codes that mean "deliberately turned away" rather than "broken".
@@ -93,17 +69,6 @@ DEFAULT_WORKLOAD: Tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class RequestSample:
-    """One client-observed request: which scenario, how long, cache or solve."""
-
-    scenario: str
-    phase: str  # "cold" | "warm"
-    client: int
-    latency_s: float
-    cache_hit: bool
-
-
 def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
     """Nearest-rank percentile of an ascending sequence (empty -> 0.0)."""
     if not sorted_values:
@@ -112,179 +77,10 @@ def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
     return sorted_values[rank]
 
 
-def _summarise(samples: List[RequestSample], wall_s: float) -> Dict[str, Any]:
-    latencies = sorted(sample.latency_s for sample in samples)
-    return {
-        "requests": len(samples),
-        "wall_s": wall_s,
-        "requests_per_s": (len(samples) / wall_s) if wall_s > 0 else 0.0,
-        "cache_hits": sum(1 for sample in samples if sample.cache_hit),
-        "latency_s": {
-            "mean": statistics.fmean(latencies) if latencies else 0.0,
-            "p50": _percentile(latencies, 0.50),
-            "p90": _percentile(latencies, 0.90),
-            "p99": _percentile(latencies, 0.99),
-            "max": latencies[-1] if latencies else 0.0,
-        },
-    }
-
-
 def _materialise_workload(
     names: Sequence[str], tier: str
 ) -> List[Tuple[str, PebblingProblem, str, Dict[str, Any]]]:
     return [(name, *materialize_scenario(name, tier)) for name in names]
-
-
-async def _client_pass(
-    host: str,
-    port: int,
-    client_index: int,
-    workload: Sequence[Tuple[str, PebblingProblem, str, Dict[str, Any]]],
-    phase: str,
-    samples: List[RequestSample],
-) -> None:
-    """One client walks the whole workload once, rotated by its own index.
-
-    The rotation staggers which problem each client requests at any moment:
-    with it, the cold phase sees genuinely mixed traffic (and concurrent
-    duplicates that exercise in-flight dedup) instead of ``clients`` copies
-    of the same request marching in lockstep.
-    """
-    from ..service.client import ServiceClient
-
-    offset = client_index % len(workload)
-    rotated = list(workload[offset:]) + list(workload[:offset])
-    async with await ServiceClient.connect(host, port) as client:
-        for name, problem, solver, options in rotated:
-            start = time.perf_counter()
-            _result, meta = await client.solve_detailed(problem, solver, **options)
-            samples.append(
-                RequestSample(
-                    scenario=name,
-                    phase=phase,
-                    client=client_index,
-                    latency_s=time.perf_counter() - start,
-                    cache_hit=bool(meta["cache_hit"]),
-                )
-            )
-
-
-async def _run(
-    clients: int,
-    repeats: int,
-    tier: str,
-    names: Sequence[str],
-    workers: int,
-    prefer_processes: bool,
-) -> Dict[str, Any]:
-    from ..service.server import ServiceConfig, SolveService
-
-    workload = _materialise_workload(names, tier)
-    config = ServiceConfig(port=0, workers=workers, prefer_processes=prefer_processes)
-    service = SolveService(config)
-    await service.start()
-    host, port = service.address
-    samples: List[RequestSample] = []
-    phases: Dict[str, Any] = {}
-    try:
-        for phase in ("cold", "warm"):
-            phase_samples: List[RequestSample] = []
-            started = time.perf_counter()
-            for _ in range(max(1, repeats)):
-                await asyncio.gather(
-                    *(
-                        _client_pass(host, port, index, workload, phase, phase_samples)
-                        for index in range(clients)
-                    )
-                )
-            phases[phase] = _summarise(phase_samples, time.perf_counter() - started)
-            samples.extend(phase_samples)
-        server_stats = service.stats()
-    finally:
-        await service.shutdown(drain=True)
-
-    return {
-        "schema": SERVICE_BENCH_SCHEMA,
-        "schema_version": 1,
-        "tier": tier,
-        "clients": clients,
-        "repeats": repeats,
-        "workers": workers,
-        "pool_mode": server_stats["pool"]["mode"],
-        "workload": list(names),
-        "phases": phases,
-        "server": {
-            "cache_answers": server_stats["jobs"]["cache_answers"],
-            "dedup_shared": server_stats["jobs"]["dedup_shared"],
-            "admitted": server_stats["jobs"]["admitted"],
-            "completed": server_stats["jobs"]["completed"],
-        },
-        "env": environment_metadata(),
-        "samples": [
-            {
-                "scenario": sample.scenario,
-                "phase": sample.phase,
-                "client": sample.client,
-                "latency_s": sample.latency_s,
-                "cache_hit": sample.cache_hit,
-            }
-            for sample in samples
-        ],
-    }
-
-
-def run_service_benchmark(
-    clients: int = 4,
-    repeats: int = 1,
-    tier: str = "quick",
-    scenarios: Optional[Sequence[str]] = None,
-    workers: int = 2,
-    prefer_processes: bool = True,
-) -> Dict[str, Any]:
-    """Run the service benchmark and return its report document.
-
-    ``clients`` concurrent connections each issue the mixed workload
-    ``repeats`` times per phase; see the module docstring for the two-phase
-    (cold cache / warm cache) design.
-    """
-    if clients < 1:
-        raise ValueError(f"clients must be >= 1, got {clients}")
-    return asyncio.run(
-        _run(
-            clients=clients,
-            repeats=repeats,
-            tier=tier,
-            names=tuple(scenarios) if scenarios else DEFAULT_WORKLOAD,
-            workers=workers,
-            prefer_processes=prefer_processes,
-        )
-    )
-
-
-def _print_report(doc: Dict[str, Any]) -> None:
-    print(
-        f"service bench: {doc['clients']} clients x {len(doc['workload'])} scenarios "
-        f"x {doc['repeats']} repeat(s), pool mode {doc['pool_mode']}"
-    )
-    for phase in ("cold", "warm"):
-        summary = doc["phases"][phase]
-        lat = summary["latency_s"]
-        print(
-            f"  {phase:>4}: {summary['requests']:4d} requests in {summary['wall_s']:.3f}s "
-            f"({summary['requests_per_s']:8.1f} req/s)  "
-            f"p50 {lat['p50'] * 1000:7.2f} ms  p90 {lat['p90'] * 1000:7.2f} ms  "
-            f"p99 {lat['p99'] * 1000:7.2f} ms  ({summary['cache_hits']} cache hits)"
-        )
-    server = doc["server"]
-    print(
-        f"  server: {server['admitted']} admitted, {server['completed']} solved, "
-        f"{server['cache_answers']} cache answers, {server['dedup_shared']} dedup-shared"
-    )
-
-
-# --------------------------------------------------------------------------- #
-# open-loop load harness
-# --------------------------------------------------------------------------- #
 
 
 @dataclass(frozen=True)
@@ -787,14 +583,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.bench.service_bench",
         description="Measure request throughput and tail latency of the solve service.",
     )
-    parser.add_argument("--clients", type=int, default=4, metavar="N")
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=1,
-        metavar="N",
-        help="workload passes per phase per client",
-    )
     parser.add_argument("--tier", choices=("quick", "full"), default="quick")
     parser.add_argument(
         "--scenario",
@@ -805,47 +593,40 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--workers", type=int, default=2, metavar="N")
     parser.add_argument("--no-processes", action="store_true", help="force the thread worker path")
     parser.add_argument("--output", metavar="PATH", help="write the report json to PATH")
-
-    open_loop = parser.add_argument_group("open-loop SLO mode")
-    open_loop.add_argument(
-        "--open-loop", action="store_true", help="Poisson-arrival load harness instead of phases"
-    )
-    open_loop.add_argument("--requests", type=int, default=1000, metavar="N")
-    open_loop.add_argument(
+    parser.add_argument("--requests", type=int, default=1000, metavar="N")
+    parser.add_argument(
         "--rate", type=float, default=200.0, metavar="R", help="offered load in requests/s"
     )
-    open_loop.add_argument("--seed", type=int, default=0, metavar="S")
-    open_loop.add_argument(
+    parser.add_argument("--seed", type=int, default=0, metavar="S")
+    parser.add_argument(
         "--cluster",
         type=int,
         default=0,
         metavar="N",
         help="boot a router over N in-process backends (0 = single node)",
     )
-    open_loop.add_argument(
+    parser.add_argument(
         "--connect",
         metavar="HOST:PORT",
         help="drive an already-running service/router instead of booting one",
     )
-    open_loop.add_argument(
-        "--corpus", metavar="PATH", help="sample the workload from a corpus JSONL"
-    )
-    open_loop.add_argument("--corpus-sample", type=int, default=8, metavar="K")
-    open_loop.add_argument(
+    parser.add_argument("--corpus", metavar="PATH", help="sample the workload from a corpus JSONL")
+    parser.add_argument("--corpus-sample", type=int, default=8, metavar="K")
+    parser.add_argument(
         "--corpus-must", action="append", default=[], metavar="EXPR", help="corpus filter"
     )
-    open_loop.add_argument("--max-connections", type=int, default=256, metavar="N")
-    open_loop.add_argument(
+    parser.add_argument("--max-connections", type=int, default=256, metavar="N")
+    parser.add_argument(
         "--router-rate-limit",
         type=float,
         default=None,
         metavar="R",
         help="per-client token-bucket limit on the booted router",
     )
-    open_loop.add_argument(
+    parser.add_argument(
         "--compare", metavar="BASELINE", help="gate the SLO report against a baseline json"
     )
-    open_loop.add_argument(
+    parser.add_argument(
         "--threshold",
         type=float,
         default=1.5,
@@ -854,64 +635,40 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.open_loop:
-        doc = run_open_loop_benchmark(
-            requests=args.requests,
-            rate=args.rate,
-            seed=args.seed,
-            cluster=args.cluster,
-            tier=args.tier,
-            scenarios=args.scenario,
-            corpus=args.corpus,
-            corpus_sample=args.corpus_sample,
-            corpus_must=args.corpus_must,
-            workers=args.workers,
-            prefer_processes=not args.no_processes,
-            max_connections=args.max_connections,
-            rate_limit=args.router_rate_limit,
-            connect=_parse_connect(args.connect) if args.connect else None,
-        )
-        _print_slo_report(doc)
-        if args.output is not None:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
-            print(f"wrote {args.output}")
-        if args.compare is not None:
-            with open(args.compare, "r", encoding="utf-8") as fh:
-                baseline = json.load(fh)
-            problems = compare_slo(doc, baseline, args.threshold)
-            if problems:
-                for problem in problems:
-                    print(f"SLO REGRESSION: {problem}", file=sys.stderr)
-                return 2
-            print(f"SLO gates passed against {args.compare} (threshold x{args.threshold})")
-        elif not doc["accounting_exact"] or doc["outcomes"]["failed"]:
-            # even without a baseline, a run that lost or broke requests fails
-            print("open-loop run had failed or unaccounted requests", file=sys.stderr)
-            return 1
-        return 0
-
-    doc = run_service_benchmark(
-        clients=args.clients,
-        repeats=args.repeats,
+    doc = run_open_loop_benchmark(
+        requests=args.requests,
+        rate=args.rate,
+        seed=args.seed,
+        cluster=args.cluster,
         tier=args.tier,
         scenarios=args.scenario,
+        corpus=args.corpus,
+        corpus_sample=args.corpus_sample,
+        corpus_must=args.corpus_must,
         workers=args.workers,
         prefer_processes=not args.no_processes,
+        max_connections=args.max_connections,
+        rate_limit=args.router_rate_limit,
+        connect=_parse_connect(args.connect) if args.connect else None,
     )
-    _print_report(doc)
+    _print_slo_report(doc)
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
         print(f"wrote {args.output}")
-
-    warm = doc["phases"]["warm"]
-    # The warm phase re-requests already-solved problems through a shared
-    # cache; zero hits there means the service's whole point is broken.
-    if warm["cache_hits"] == 0:
-        print("service bench: warm phase saw no cache hits", file=sys.stderr)
+    if args.compare is not None:
+        with open(args.compare, "r", encoding="utf-8") as fh:
+            baseline = json.load(fh)
+        problems = compare_slo(doc, baseline, args.threshold)
+        if problems:
+            for problem in problems:
+                print(f"SLO REGRESSION: {problem}", file=sys.stderr)
+            return 2
+        print(f"SLO gates passed against {args.compare} (threshold x{args.threshold})")
+    elif not doc["accounting_exact"] or doc["outcomes"]["failed"]:
+        # even without a baseline, a run that lost or broke requests fails
+        print("open-loop run had failed or unaccounted requests", file=sys.stderr)
         return 1
     return 0
 

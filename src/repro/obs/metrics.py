@@ -344,9 +344,9 @@ class MetricsRegistry:
     """Process- or component-scoped collection of metric families.
 
     Each service/router instance owns its own registry so that several
-    nodes hosted in one process (tests, ``cluster-smoke``) do not merge
-    their counters.  Library-level metrics that have no owning component
-    use :func:`get_global_registry`.
+    nodes hosted in one process (tests, the in-process load harness) do
+    not merge their counters.  Library-level metrics that have no owning
+    component use :func:`get_global_registry`.
     """
 
     def __init__(self) -> None:

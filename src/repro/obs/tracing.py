@@ -8,7 +8,7 @@ ways:
   ``tracer.span(...)`` blocks (and the solver portfolio in
   :mod:`repro.api.dispatch`) parent correctly without plumbing.
 - **Cross-node** via an optional ``trace`` field on protocol solve
-  frames (``{"trace_id": ..., "span_id": ...}``), which v3 peers ignore.
+  frames (``{"trace_id": ..., "span_id": ...}``).
 
 Finished spans land in a bounded in-memory ring buffer and, when a sink
 path is configured, are appended as one JSON line each.  Each component

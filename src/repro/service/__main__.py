@@ -11,21 +11,11 @@ Subcommands:
   ``stats --watch N`` polls repeatedly.
 * ``metrics`` — print a server's Prometheus-style text exposition (or
   the JSON snapshot with ``--json``).
-* ``smoke`` — self-contained end-to-end check (used by CI): starts an
-  in-process server on an ephemeral port, solves scenarios through the TCP
-  client, verifies the answers are bit-identical to local ``solve()``
-  calls, re-requests them asserting shared-cache hits, streams one anytime
-  solve asserting ≥ 2 improving cost events, then drains and shuts down.
 * ``route`` — run a :class:`~repro.service.router.SolveRouter` in the
   foreground: consistent-hash routing by problem digest over ``--backend``
   solve nodes, with tiered caching, per-client rate limits and failover.
-* ``cluster-smoke`` — self-contained cluster check (used by CI): boots one
-  router over N in-process backends, then proves the sharding story end to
-  end — deterministic consistent-hash placement, hot-LRU repeats, a peer
-  fetch that avoids a recompute, a backend kill answered by bit-identical
-  failover re-dispatch, and token-bucket shedding with typed errors.
 
-Exit codes: 0 on success; 1 on any failure (including smoke assertions).
+Exit codes: 0 on success; 1 on any failure.
 """
 
 from __future__ import annotations
@@ -36,24 +26,13 @@ import contextlib
 import json
 import signal
 import sys
-import tempfile
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from ..api import PebblingProblem, solve
-from .client import ProgressEvent, ServiceClient, ServiceError
-from .router import BackendSpec, HashRing, RouterConfig, SolveRouter
+from .client import ProgressEvent, ServiceClient
+from .router import BackendSpec, RouterConfig, SolveRouter
 from .server import ServiceConfig, SolveService
 
 __all__ = ["main"]
-
-#: Scenarios the smoke test pushes through the service (quick tier).
-SMOKE_SCENARIOS = ("tree-prbp-critical", "fft-blocked-prbp", "chained-prbp-constant")
-
-#: Scenario streamed in the smoke test; its greedy seed leaves the anytime
-#: refiner plenty of accepted improvements at this step budget.
-SMOKE_STREAM_SCENARIO = "chained-rbp-greedy"
-SMOKE_STREAM_OPTIONS = {"refine_steps": 192, "seed": 0}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -141,12 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--stream", action="store_true", help="print anytime-progress events as they arrive"
     )
 
-    smoke = sub.add_parser("smoke", help="self-contained end-to-end service check (CI)")
-    smoke.add_argument("--workers", type=int, default=2, metavar="N")
-    smoke.add_argument(
-        "--no-processes", action="store_true", help="force the thread worker path"
-    )
-
     route = sub.add_parser("route", help="run a cluster front router in the foreground")
     route.add_argument("--host", default="127.0.0.1")
     route.add_argument("--port", type=int, default=7420, help="0 binds an ephemeral port")
@@ -185,15 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace-file",
         metavar="PATH",
         help="append finished trace spans to PATH as JSON lines",
-    )
-
-    cluster = sub.add_parser(
-        "cluster-smoke", help="self-contained router+backends cluster check (CI)"
-    )
-    cluster.add_argument("--backends", type=int, default=3, metavar="N")
-    cluster.add_argument("--workers", type=int, default=1, metavar="N")
-    cluster.add_argument(
-        "--no-processes", action="store_true", help="force the thread worker path"
     )
     return parser
 
@@ -293,15 +257,10 @@ def _cmd_shutdown(args: argparse.Namespace) -> int:
     return asyncio.run(run())
 
 
-def _scenario_problem(name: str, tier: str) -> Tuple[PebblingProblem, str, Dict[str, Any]]:
-    """Materialize a bench-registry scenario into (problem, solver, options)."""
+def _cmd_solve(args: argparse.Namespace) -> int:
     from ..bench.scenario import materialize_scenario
 
-    return materialize_scenario(name, tier)
-
-
-def _cmd_solve(args: argparse.Namespace) -> int:
-    problem, solver, options = _scenario_problem(args.scenario, args.tier)
+    problem, solver, options = materialize_scenario(args.scenario, args.tier)
     if args.solver is not None:
         solver = args.solver
 
@@ -324,97 +283,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return 0
 
     return asyncio.run(run())
-
-
-# --------------------------------------------------------------------------- #
-# smoke
-# --------------------------------------------------------------------------- #
-
-
-def _check(condition: bool, message: str, failures: List[str]) -> None:
-    status = "ok" if condition else "FAIL"
-    print(f"  [{status}] {message}")
-    if not condition:
-        failures.append(message)
-
-
-async def _smoke(workers: int, prefer_processes: bool) -> int:
-    failures: List[str] = []
-    with tempfile.TemporaryDirectory(prefix="repro-service-smoke-") as cache_dir:
-        service = SolveService(
-            ServiceConfig(
-                port=0,
-                workers=workers,
-                cache_dir=cache_dir,
-                prefer_processes=prefer_processes,
-            )
-        )
-        await service.start()
-        host, port = service.address
-        print(f"smoke: server on {host}:{port} (pool mode: {service.stats()['pool']['mode']})")
-
-        async with await ServiceClient.connect(host, port) as client:
-            await client.ping()
-
-            # 1. three scenarios through the TCP client, checked against local solves
-            workload = [(name, *_scenario_problem(name, "quick")) for name in SMOKE_SCENARIOS]
-            for name, problem, solver, options in workload:
-                local = solve(problem, solver=solver, **options)
-                remote, meta = await client.solve_detailed(problem, solver, **options)
-                _check(
-                    remote.cost == local.cost
-                    and remote.solver == local.solver
-                    and remote.schedule.moves == local.schedule.moves,
-                    f"{name}: remote result bit-identical to local solve (cost {remote.cost})",
-                    failures,
-                )
-                _check(not meta["cache_hit"], f"{name}: first request was a fresh solve", failures)
-
-            # 2. repeats answered from the shared cache
-            for name, problem, solver, options in workload:
-                _, meta = await client.solve_detailed(problem, solver, **options)
-                _check(meta["cache_hit"], f"{name}: repeat answered from the shared cache", failures)
-            stats = await client.stats()
-            hits = stats["jobs"]["cache_answers"]
-            _check(
-                hits >= len(workload),
-                f"cache answered {hits} repeat request(s) (counter from server stats)",
-                failures,
-            )
-
-            # 3. streamed anytime progress: monotonically improving costs
-            problem, solver, _ = _scenario_problem(SMOKE_STREAM_SCENARIO, "quick")
-            result, events = await client.solve_stream(
-                problem, solver, **SMOKE_STREAM_OPTIONS
-            )
-            costs = [event.cost for event in events]
-            improving = [c for prev, c in zip(costs, costs[1:]) if c < prev]
-            _check(
-                len(events) >= 3 and len(improving) >= 2,
-                f"streamed solve pushed {len(events)} events, {len(improving)} strict improvements "
-                f"({costs[0] if costs else '-'} -> {result.cost})",
-                failures,
-            )
-            _check(
-                costs == sorted(costs, reverse=True) and (not costs or costs[-1] == result.cost),
-                "streamed costs are monotone and end at the final result",
-                failures,
-            )
-
-            # 4. graceful shutdown drains cleanly
-            await client.shutdown_server(drain=True)
-        await service.wait_closed()
-        print("smoke: server drained and closed")
-
-    if failures:
-        print(f"smoke: {len(failures)} check(s) FAILED", file=sys.stderr)
-        return 1
-    print("smoke: all checks passed")
-    return 0
-
-
-def _cmd_smoke(args: argparse.Namespace) -> int:
-    return asyncio.run(_smoke(args.workers, prefer_processes=not args.no_processes))
 
 
 # --------------------------------------------------------------------------- #
@@ -463,266 +331,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
     return 0
 
 
-# --------------------------------------------------------------------------- #
-# cluster smoke
-# --------------------------------------------------------------------------- #
-
-
-def _uncached_problem_for(
-    ring: HashRing, primary: str, taken: set
-) -> Tuple[PebblingProblem, str]:
-    """A fresh problem whose ring primary is ``primary`` (for failover tests)."""
-    from ..api.cache import problem_digest
-    from ..dags import kary_tree_dag
-
-    for arity in (2, 3):
-        for depth in (3, 4, 5, 6):
-            for r in (2, 3, 4, 5):
-                problem = PebblingProblem(kary_tree_dag(arity, depth), r=r)
-                digest = problem_digest(problem, solver="auto", options={})
-                if digest not in taken and ring.route(digest) == primary:
-                    taken.add(digest)
-                    return problem, digest
-    raise RuntimeError(f"no candidate problem hashed to backend {primary}")
-
-
-async def _cluster_smoke(backends_n: int, workers: int, prefer_processes: bool) -> int:
-    from ..api.cache import problem_digest
-
-    failures: List[str] = []
-    with contextlib.ExitStack() as stack:
-        # one *separate* cache dir per backend: peer fetch must cross the
-        # network through the cache_only probe, not leak through a shared disk
-        backends: List[SolveService] = []
-        # ONE trace sink shared by the router and every backend: the whole
-        # point of cross-node tracing is that spans from different nodes
-        # stitch into one trace, which check 5 below asserts.
-        trace_dir = stack.enter_context(
-            tempfile.TemporaryDirectory(prefix="repro-cluster-trace-")
-        )
-        trace_path = Path(trace_dir) / "spans.jsonl"
-        for _ in range(backends_n):
-            cache_dir = stack.enter_context(
-                tempfile.TemporaryDirectory(prefix="repro-cluster-smoke-")
-            )
-            service = SolveService(
-                ServiceConfig(
-                    port=0,
-                    workers=workers,
-                    cache_dir=cache_dir,
-                    prefer_processes=prefer_processes,
-                    trace_file=trace_path,
-                )
-            )
-            await service.start()
-            backends.append(service)
-        specs = tuple(BackendSpec(*service.address) for service in backends)
-        by_name = {spec.name: service for spec, service in zip(specs, backends)}
-        router = SolveRouter(
-            RouterConfig(
-                backends=specs,
-                failure_threshold=1,
-                cooldown_s=30.0,
-                trace_file=trace_path,
-            )
-        )
-        await router.start()
-        host, port = router.address
-        ring = HashRing(tuple(spec.name for spec in specs))
-        print(f"cluster-smoke: router on {host}:{port} over {len(backends)} backends")
-
-        async with await ServiceClient.connect(host, port) as client:
-            pong = await client.ping()
-            _check(pong.get("role") == "router", "router answers ping with role=router", failures)
-
-            # 1. consistent-hash placement: the backend each solve lands on is
-            #    exactly the one an independently built ring predicts
-            workload = [(name, *_scenario_problem(name, "quick")) for name in SMOKE_SCENARIOS]
-            for name, problem, solver, options in workload:
-                local = solve(problem, solver=solver, **options)
-                remote, meta = await client.solve_detailed(problem, solver, **options)
-                digest = problem_digest(problem, solver=solver, options=dict(options))
-                _check(
-                    remote.cost == local.cost and remote.schedule.moves == local.schedule.moves,
-                    f"{name}: routed result bit-identical to local solve (cost {remote.cost})",
-                    failures,
-                )
-                _check(
-                    meta["backend"] == ring.route(digest),
-                    f"{name}: landed on ring-predicted backend {ring.route(digest)}",
-                    failures,
-                )
-
-            # 2. repeats hit the router's hot LRU without touching a backend
-            before = (await client.stats())["routing"]
-            for name, problem, solver, options in workload:
-                _, meta = await client.solve_detailed(problem, solver, **options)
-                _check(meta["cache_hit"], f"{name}: repeat answered from cluster cache", failures)
-            after = (await client.stats())["routing"]
-            _check(
-                after["hot_hits"] - before["hot_hits"] >= len(workload),
-                f"hot LRU served {after['hot_hits'] - before['hot_hits']} repeat(s), "
-                "no backend round trips",
-                failures,
-            )
-            _check(
-                after["dispatched"] == before["dispatched"],
-                "repeats dispatched no new backend solves",
-                failures,
-            )
-
-            # 3. peer fetch: a result computed on a NON-primary node is found
-            #    by probing peers, so the primary never recomputes it
-            taken: set = set()
-            primary_name = specs[0].name
-            peer_name = specs[1 % len(specs)].name
-            peer_problem, peer_digest = _uncached_problem_for(ring, primary_name, taken)
-            peer_pref = ring.preference(peer_digest)
-            donor = by_name[peer_pref[1]]  # first non-primary on the ring
-            async with await ServiceClient.connect(*donor.address) as direct:
-                seeded = await direct.solve(peer_problem)
-            routed, meta = await client.solve_detailed(peer_problem)
-            stats = await client.stats()
-            _check(
-                meta["cache_hit"] and meta["backend"] == peer_pref[1],
-                f"peer fetch answered from non-primary {peer_pref[1]}",
-                failures,
-            )
-            _check(
-                routed.cost == seeded.cost and stats["routing"]["peer_fetch_hits"] >= 1,
-                f"peer fetch avoided a recompute (peer_fetch_hits="
-                f"{stats['routing']['peer_fetch_hits']})",
-                failures,
-            )
-
-            # 4. failover: kill a backend hard, then route a fresh problem
-            #    whose primary it was — the answer must come from another
-            #    node, bit-identical to a local solve
-            victim_problem, victim_digest = _uncached_problem_for(ring, peer_name, taken)
-            victim = by_name[peer_name]
-            await victim.shutdown(drain=False)
-            local = solve(victim_problem)
-            remote, meta = await client.solve_detailed(victim_problem)
-            stats = await client.stats()
-            _check(
-                remote.cost == local.cost and remote.schedule.moves == local.schedule.moves,
-                f"failover result bit-identical after killing {peer_name} (cost {remote.cost})",
-                failures,
-            )
-            _check(
-                meta["backend"] != peer_name and meta["backend"] in by_name,
-                f"re-dispatched to surviving backend {meta['backend']}",
-                failures,
-            )
-            _check(
-                any(not b["alive"] for b in stats["backends"]),
-                "router marked the killed backend down",
-                failures,
-            )
-
-            # 5. observability: the metrics op serves parseable exposition on
-            #    both tiers, and the shared trace sink holds at least one
-            #    trace whose spans cover the router's routing decision, the
-            #    backend's queue wait and the solver execution
-            from ..obs.metrics import parse_exposition
-
-            families = parse_exposition((await client.metrics())["exposition"])
-            _check(
-                "repro_router_requests_total" in families
-                and "repro_router_tier_seconds" in families,
-                "router metrics exposition parses (request + tier series present)",
-                failures,
-            )
-            survivor = next(b for b in backends if b is not victim)
-            async with await ServiceClient.connect(*survivor.address) as direct:
-                backend_families = parse_exposition((await direct.metrics())["exposition"])
-            _check(
-                "repro_request_latency_seconds" in backend_families
-                and "repro_cache_ops_total" in backend_families
-                and "repro_queue_depth" in backend_families,
-                "backend metrics expose latency histogram, cache counters, queue gauge",
-                failures,
-            )
-
-            trace_names: Dict[str, set] = {}
-            trace_nodes: Dict[str, set] = {}
-            for line in trace_path.read_text(encoding="utf-8").splitlines():
-                try:
-                    span = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                trace_names.setdefault(span["trace_id"], set()).add(span["name"])
-                trace_nodes.setdefault(span["trace_id"], set()).add(span["node"])
-            stitched = [
-                tid
-                for tid, names in trace_names.items()
-                if {"router.route", "queue_wait", "solve_exec"} <= names
-            ]
-            _check(
-                bool(stitched),
-                f"{len(stitched)} trace(s) cover routing decision, queue wait "
-                "and solver execution under one trace id",
-                failures,
-            )
-            _check(
-                any(
-                    any(node.startswith("router:") for node in trace_nodes[tid])
-                    and any(node.startswith("service:") for node in trace_nodes[tid])
-                    for tid in stitched
-                ),
-                "a stitched trace crosses the router and a backend node",
-                failures,
-            )
-
-        # 6. rate limiting: a second router with a one-token bucket sheds the
-        #    second request with a typed error (counted, not dropped)
-        limited = SolveRouter(
-            RouterConfig(
-                backends=(specs[0],),
-                rate_limit_per_s=0.001,
-                rate_limit_burst=1,
-            )
-        )
-        await limited.start()
-        async with await ServiceClient.connect(*limited.address) as client:
-            name, problem, solver, options = workload[0]
-            _ = await client.solve_detailed(problem, solver, client_id="smoke", **options)
-            try:
-                await client.solve_detailed(problem, solver, client_id="smoke", **options)
-                shed_ok = False
-            except ServiceError as exc:
-                shed_ok = exc.code == "rate-limited"
-            stats = limited.stats()
-            _check(shed_ok, "second request shed with a typed rate-limited error", failures)
-            _check(
-                stats["shed"]["rate_limited"] == 1,
-                "shed request was counted, not silently dropped",
-                failures,
-            )
-        await limited.shutdown()
-
-        await router.shutdown()
-        for service in backends:
-            if service is not victim:
-                await service.shutdown()
-        print("cluster-smoke: router and backends drained")
-
-    if failures:
-        print(f"cluster-smoke: {len(failures)} check(s) FAILED", file=sys.stderr)
-        return 1
-    print("cluster-smoke: all checks passed")
-    return 0
-
-
-def _cmd_cluster_smoke(args: argparse.Namespace) -> int:
-    if args.backends < 2:
-        print("error: cluster-smoke needs at least 2 backends", file=sys.stderr)
-        return 1
-    return asyncio.run(
-        _cluster_smoke(args.backends, args.workers, prefer_processes=not args.no_processes)
-    )
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
@@ -732,9 +340,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "metrics": _cmd_metrics,
         "shutdown": _cmd_shutdown,
         "solve": _cmd_solve,
-        "smoke": _cmd_smoke,
         "route": _cmd_route,
-        "cluster-smoke": _cmd_cluster_smoke,
     }
     try:
         return handlers[args.command](args)

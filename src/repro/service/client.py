@@ -206,7 +206,7 @@ class ServiceClient:
         if client_id is not None:
             fields["client_id"] = client_id
         # Propagate the caller's ambient trace context (if any) so the
-        # server's spans parent under it; v3 peers ignore the field.
+        # server's spans parent under it.
         ambient = current_trace()
         if ambient is not None:
             fields["trace"] = ambient.to_wire()

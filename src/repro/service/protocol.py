@@ -9,14 +9,11 @@ knows where the next message starts) while staying trivially debuggable:
 Versioning
 ----------
 Each message carries ``"v": PROTOCOL_VERSION``.  A server refuses requests
-whose version is outside :data:`SUPPORTED_PROTOCOL_VERSIONS` with a
-``protocol`` error instead of guessing; the version is bumped whenever the
-frame layout or a message schema changes incompatibly.  v4 is a strict
-superset of v3 — every new field is optional and every new op degrades to a
-typed error on a v3 server — so v3 requests are still accepted and validators
-ignore unknown fields (which is how a v3 server already treated a v4
-``trace`` field).  Response frames stamp the server's own version; clients
-do not gate on it.
+stamped with any other version with a ``bad-request`` error instead of
+guessing; the version is bumped whenever the frame layout or a message
+schema changes.  Validators ignore unknown fields, and optional fields stay
+optional.  Response frames stamp the server's own version; clients do not
+gate on it.
 
 Problem and result serialization
 --------------------------------
@@ -63,7 +60,6 @@ from ..solvers.anytime import RefinementTrajectory
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "SUPPORTED_PROTOCOL_VERSIONS",
     "MAX_FRAME_BYTES",
     "REQUEST_OPS",
     "RESPONSE_OPS",
@@ -82,7 +78,8 @@ __all__ = [
     "result_from_wire",
 ]
 
-#: Bumped on any incompatible change to the frame layout or message schemas.
+#: Bumped on any change to the frame layout or message schemas; a server
+#: accepts requests stamped with this version only.
 #: v2: result frames carry the schedule as packed schedule-IR columns
 #: instead of a per-move JSON list.
 #: v3: ``solve`` requests may carry ``cache_only`` (answer from the shared
@@ -95,13 +92,8 @@ __all__ = [
 #: context; solve ``result``/``error`` responses may echo a ``trace_id``;
 #: a new ``metrics`` op returns the node's metrics registry (text
 #: exposition and/or JSON snapshot); ``solve_stats`` gains ``attempts``
-#: (per-member portfolio timings).  All additions are optional, so v3
-#: frames remain valid and v3 servers ignore the trace field.
+#: (per-member portfolio timings).
 PROTOCOL_VERSION = 4
-
-#: Request versions this build accepts.  v3 requests lack the optional
-#: observability fields but are otherwise identical.
-SUPPORTED_PROTOCOL_VERSIONS = frozenset({3, 4})
 
 #: Upper bound on a single frame's payload.  Large enough for the move list
 #: of a multi-thousand-node schedule, small enough that a garbage length
@@ -129,7 +121,7 @@ ERROR_CODES = frozenset(
         "unknown-job",
         "shutting-down",
         "internal",
-        # v3 — cluster codes.  ``cache-miss`` answers a cache_only probe the
+        # cluster codes.  ``cache-miss`` answers a cache_only probe the
         # shared cache cannot serve; the rest originate at the front router:
         # a client over its token bucket, a router at its in-flight bound,
         # and a request whose every candidate backend is down.
@@ -248,9 +240,8 @@ def validate_request(doc: Mapping[str, object]) -> Dict[str, object]:
     """
     version = doc.get("v")
     _require(
-        version in SUPPORTED_PROTOCOL_VERSIONS,
-        f"unsupported protocol version {version!r} (this server speaks "
-        f"{sorted(SUPPORTED_PROTOCOL_VERSIONS)})",
+        version == PROTOCOL_VERSION,
+        f"unsupported protocol version {version!r} (this server speaks {PROTOCOL_VERSION})",
     )
     op = doc.get("op")
     _require(isinstance(op, str) and op in REQUEST_OPS, f"unknown request op {op!r}")
@@ -304,8 +295,8 @@ def validate_request(doc: Mapping[str, object]) -> Dict[str, object]:
             )
         trace = doc.get("trace")
         if trace is not None:
-            # v4 — optional distributed-trace context.  Malformed contexts
-            # are a schema error; absence (the v3 case) is fine.
+            # optional distributed-trace context.  Malformed contexts are
+            # a schema error; absence is fine.
             _require(isinstance(trace, dict), "'trace' must be an object or absent")
             for field in ("trace_id", "span_id"):
                 value = trace.get(field)  # type: ignore[union-attr]
@@ -606,7 +597,7 @@ def result_to_wire(result: SolveResult) -> Dict[str, object]:
 
 
 def _attempts_from_wire(doc: object) -> Tuple[SolveAttempt, ...]:
-    """Decode the v4 ``attempts`` list; absent (v3) decodes to empty."""
+    """Decode the optional ``attempts`` list; absent decodes to empty."""
     if doc is None:
         return ()
     _require(isinstance(doc, list), "solve_stats 'attempts' must be a list")

@@ -27,7 +27,7 @@ The cache is **tiered**.  Tier 0 is the router's own in-memory hot LRU of
 relayed *wire* results — a hit costs no backend round trip at all.  Tier 1
 is the primary backend's two-level :class:`~repro.api.cache.ResultCache`.
 Tier 2 is **peer fetch**: before any backend recomputes, the router probes
-the remaining nodes with a ``cache_only`` request (new in protocol v3) —
+the remaining nodes with a ``cache_only`` request —
 a peer that solved this digest under an older ring layout, or sharing a
 disk tier, answers from its cache and the recompute is avoided entirely.
 
@@ -251,90 +251,6 @@ class _ClientGone(Exception):
     """The *requesting* client vanished mid-relay — never a backend fault."""
 
 
-class _RouterStats:
-    """Router counters, backed by the metrics registry.
-
-    Like the server's ``_Stats``: ``stats()`` keeps its historical
-    (byte-compatible) dict shape by reading the registry back through the
-    properties below, and the very same series feed the ``metrics`` op's
-    text exposition, so the two views can never drift apart.
-    """
-
-    _ROUTING_EVENTS = (
-        "routed",
-        "hot_hits",
-        "primary_probe_hits",
-        "peer_fetch_hits",
-        "dispatched",
-        "completed",
-        "failovers",
-        "shed_rate_limited",
-        "shed_overloaded",
-        "relayed_errors",
-        "relayed_queue_full",
-        "no_backend",
-    )
-
-    def __init__(self, metrics: MetricsRegistry) -> None:
-        self.started_monotonic = time.monotonic()
-        self._requests = metrics.counter(
-            "repro_router_requests_total", "Requests received, by op.", labels=("op",)
-        )
-        self._events = metrics.counter(
-            "repro_router_events_total",
-            "Routing-path events by kind (tier hits, sheds, failovers).",
-            labels=("event",),
-        )
-        self._connections = metrics.counter(
-            "repro_router_connections_total", "Client connections accepted."
-        )
-        self._protocol_errors = metrics.counter(
-            "repro_router_protocol_errors_total",
-            "Frames refused as framing or schema errors.",
-        )
-        self._streamed = metrics.counter(
-            "repro_router_streamed_events_total",
-            "Progress frames relayed to streaming clients.",
-        )
-
-    def count_request(self, op: str) -> None:
-        self._requests.inc(op=op)
-
-    def event(self, name: str) -> None:
-        self._events.inc(event=name)
-
-    def connection(self) -> None:
-        self._connections.inc()
-
-    def protocol_error(self) -> None:
-        self._protocol_errors.inc()
-
-    def streamed_event(self) -> None:
-        self._streamed.inc()
-
-    @property
-    def requests(self) -> Dict[str, int]:
-        return {key[0]: int(v) for key, v in self._requests.values().items()}
-
-    @property
-    def connections_total(self) -> int:
-        return int(self._connections.value())
-
-    @property
-    def protocol_errors(self) -> int:
-        return int(self._protocol_errors.value())
-
-    @property
-    def streamed_events(self) -> int:
-        return int(self._streamed.value())
-
-    def __getattr__(self, name: str) -> int:
-        # routed / hot_hits / failovers / ... read back from the registry.
-        if name in _RouterStats._ROUTING_EVENTS:
-            return int(self._events.value(event=name))
-        raise AttributeError(name)
-
-
 # --------------------------------------------------------------------------- #
 # the router
 # --------------------------------------------------------------------------- #
@@ -368,10 +284,29 @@ class SolveRouter:
         #: Tier-0 hot cache: digest -> (wire result doc, serving backend).
         self._hot: "OrderedDict[str, Tuple[Dict[str, Any], str]]" = OrderedDict()
         #: Per-instance registry: several routers/services in one process
-        #: (tests, cluster-smoke) must not merge their counters.
+        #: (tests, an in-process cluster) must not merge their counters.
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(node="router", sink=config.trace_file)
-        self._stats = _RouterStats(self.metrics)
+        self._started = time.monotonic()
+        self._requests = self.metrics.counter(
+            "repro_router_requests_total", "Requests received, by op.", labels=("op",)
+        )
+        self._events = self.metrics.counter(
+            "repro_router_events_total",
+            "Routing-path events by kind (tier hits, sheds, failovers).",
+            labels=("event",),
+        )
+        self._connections_total = self.metrics.counter(
+            "repro_router_connections_total", "Client connections accepted."
+        )
+        self._protocol_errors = self.metrics.counter(
+            "repro_router_protocol_errors_total",
+            "Frames refused as framing or schema errors.",
+        )
+        self._streamed = self.metrics.counter(
+            "repro_router_streamed_events_total",
+            "Progress frames relayed to streaming clients.",
+        )
         self._tier_hist = self.metrics.histogram(
             "repro_router_tier_seconds",
             "Wall seconds from admission to answer, by the tier that served it.",
@@ -468,32 +403,32 @@ class SolveRouter:
             now = asyncio.get_running_loop().time()
         except RuntimeError:
             now = 0.0
-        stats = self._stats
+        events = self._events
         return {
             "role": "router",
             "protocol_version": protocol.PROTOCOL_VERSION,
-            "uptime_s": time.monotonic() - stats.started_monotonic,
+            "uptime_s": time.monotonic() - self._started,
             "closing": self._closing,
             "connections": {
                 "active": len(self._connections),
-                "total": stats.connections_total,
+                "total": int(self._connections_total.value()),
             },
-            "requests": dict(stats.requests),
+            "requests": {key[0]: int(n) for key, n in self._requests.values().items()},
             "routing": {
-                "routed": stats.routed,
-                "hot_hits": stats.hot_hits,
-                "primary_probe_hits": stats.primary_probe_hits,
-                "peer_fetch_hits": stats.peer_fetch_hits,
-                "dispatched": stats.dispatched,
-                "completed": stats.completed,
-                "failovers": stats.failovers,
-                "no_backend": stats.no_backend,
-                "relayed_errors": stats.relayed_errors,
-                "relayed_queue_full": stats.relayed_queue_full,
+                "routed": int(events.value(event="routed")),
+                "hot_hits": int(events.value(event="hot_hits")),
+                "primary_probe_hits": int(events.value(event="primary_probe_hits")),
+                "peer_fetch_hits": int(events.value(event="peer_fetch_hits")),
+                "dispatched": int(events.value(event="dispatched")),
+                "completed": int(events.value(event="completed")),
+                "failovers": int(events.value(event="failovers")),
+                "no_backend": int(events.value(event="no_backend")),
+                "relayed_errors": int(events.value(event="relayed_errors")),
+                "relayed_queue_full": int(events.value(event="relayed_queue_full")),
             },
             "shed": {
-                "rate_limited": stats.shed_rate_limited,
-                "overloaded": stats.shed_overloaded,
+                "rate_limited": int(events.value(event="shed_rate_limited")),
+                "overloaded": int(events.value(event="shed_overloaded")),
             },
             "hot_cache": {
                 "entries": len(self._hot),
@@ -508,9 +443,8 @@ class SolveRouter:
             "inflight": self._inflight,
             "max_inflight": self.config.max_inflight,
             "backends": [backend.snapshot(now) for backend in self._backends.values()],
-            "streamed_events": stats.streamed_events,
-            "protocol_errors": stats.protocol_errors,
-            # Addition over the pre-v4 shape (existing keys stay byte-compatible).
+            "streamed_events": int(self._streamed.value()),
+            "protocol_errors": int(self._protocol_errors.value()),
             "latency": self.metrics.histogram_summaries(),
         }
 
@@ -524,7 +458,7 @@ class SolveRouter:
         task = asyncio.current_task()
         if task is not None:
             self._connections.add(task)
-        self._stats.connection()
+        self._connections_total.inc()
         try:
             await self._serve_connection(reader, writer)
         except asyncio.CancelledError:
@@ -545,7 +479,7 @@ class SolveRouter:
             try:
                 doc = await read_frame(reader)
             except ProtocolError as exc:
-                self._stats.protocol_error()
+                self._protocol_errors.inc()
                 await self._try_send_error(writer, None, "protocol", str(exc))
                 return
             if doc is None:
@@ -553,7 +487,7 @@ class SolveRouter:
             try:
                 request = protocol.validate_request(doc)
             except ProtocolError as exc:
-                self._stats.protocol_error()
+                self._protocol_errors.inc()
                 request_id = doc.get("id")
                 await self._try_send_error(
                     writer,
@@ -585,7 +519,7 @@ class SolveRouter:
         self, request: Dict[str, Any], writer: asyncio.StreamWriter
     ) -> None:
         op = str(request["op"])
-        self._stats.count_request(op)
+        self._requests.inc(op=op)
         request_id = str(request["id"])
         if op == "ping":
             await write_frame(
@@ -637,7 +571,7 @@ class SolveRouter:
             peer = writer.get_extra_info("peername")
             identity = f"peer:{peer[0]}" if isinstance(peer, tuple) and peer else "peer:unknown"
         if not self._limiter.allow(identity):
-            self._stats.event("shed_rate_limited")
+            self._events.inc(event="shed_rate_limited")
             await self._try_send_error(
                 writer,
                 request_id,
@@ -646,7 +580,7 @@ class SolveRouter:
             )
             return
         if self._inflight >= self.config.max_inflight:
-            self._stats.event("shed_overloaded")
+            self._events.inc(event="shed_overloaded")
             await self._try_send_error(
                 writer,
                 request_id,
@@ -668,7 +602,7 @@ class SolveRouter:
         digest = problem_digest(problem, solver=solver, options=options)
         cacheable = cacheable_options(options)
 
-        self._stats.event("routed")
+        self._events.inc(event="routed")
         self._inflight += 1
         self._inflight_gauge.set(float(self._inflight))
         # The route span is the router's root for this request (or a child of
@@ -717,7 +651,7 @@ class SolveRouter:
             hot = self._hot_get(digest)
             if hot is not None:
                 doc, backend_name = hot
-                self._stats.event("hot_hits")
+                self._events.inc(event="hot_hits")
                 self._observe_tier("hot", started, span, backend_name)
                 await write_frame(
                     writer,
@@ -754,10 +688,10 @@ class SolveRouter:
                 if doc is None:
                     continue  # cache-miss: try the next tier
                 if rank == 0:
-                    self._stats.event("primary_probe_hits")
+                    self._events.inc(event="primary_probe_hits")
                     self._observe_tier("probe_primary", started, span, name)
                 else:
-                    self._stats.event("peer_fetch_hits")
+                    self._events.inc(event="peer_fetch_hits")
                     self._observe_tier("probe_peer", started, span, name)
                 self._hot_put(digest, doc, name)
                 await write_frame(
@@ -787,7 +721,7 @@ class SolveRouter:
                 continue
             attempts += 1
             if attempts > 1:
-                self._stats.event("failovers")
+                self._events.inc(event="failovers")
             try:
                 await self._relay_solve(
                     backend, request, request_id, writer, digest, cacheable, stream
@@ -805,16 +739,16 @@ class SolveRouter:
                     # its shard simply spills to the next ring node
                     continue
                 if exc.code == "queue-full":
-                    self._stats.event("relayed_queue_full")
+                    self._events.inc(event="relayed_queue_full")
                 else:
-                    self._stats.event("relayed_errors")
+                    self._events.inc(event="relayed_errors")
                 await self._try_send_error(writer, request_id, exc.code, str(exc))
                 return
             self._observe_tier(
                 "failover" if attempts > 1 else "dispatch", started, span, name
             )
             return
-        self._stats.event("no_backend")
+        self._events.inc(event="no_backend")
         await self._try_send_error(
             writer,
             request_id,
@@ -848,10 +782,10 @@ class SolveRouter:
         :class:`_RelayedError` on typed error frames (relayed, no failover).
         """
         backend.dispatched += 1
-        self._stats.event("dispatched")
+        self._events.inc(event="dispatched")
 
         async def forward_progress(doc: Dict[str, Any]) -> None:
-            self._stats.streamed_event()
+            self._streamed.inc()
             doc["backend"] = backend.name
             try:
                 await write_frame(writer, doc)
@@ -878,7 +812,7 @@ class SolveRouter:
         if op not in ("result", "accepted"):
             raise _BackendFailure(f"unexpected backend frame op {op!r}")
         self._mark_alive(backend)
-        self._stats.event("completed")
+        self._events.inc(event="completed")
         doc["backend"] = backend.name
         if op == "accepted" and isinstance(doc.get("job_id"), str):
             # Stamp the serving backend into the job id so a later poll on

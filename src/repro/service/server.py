@@ -95,85 +95,6 @@ class ServiceConfig:
     trace_file: Optional[Union[str, Path]] = None
 
 
-class _Stats:
-    """Service counters, backed by the metrics registry.
-
-    The ``stats()`` response keeps its historical (byte-compatible) dict
-    shape by reading the registry back through the properties below; the
-    same series feed the ``metrics`` op's text exposition, so the two
-    views can never drift apart.
-    """
-
-    _JOB_EVENTS = (
-        "admitted",
-        "completed",
-        "failed",
-        "cache_answers",
-        "probe_hits",
-        "probe_misses",
-        "dedup_shared",
-        "rejected_full",
-        "rejected_closing",
-    )
-
-    def __init__(self, metrics: MetricsRegistry) -> None:
-        self.started_monotonic = time.monotonic()
-        self._requests = metrics.counter(
-            "repro_requests_total", "Requests received, by op.", labels=("op",)
-        )
-        self._jobs = metrics.counter(
-            "repro_jobs_total", "Job lifecycle events, by kind.", labels=("event",)
-        )
-        self._connections = metrics.counter(
-            "repro_connections_total", "Client connections accepted."
-        )
-        self._protocol_errors = metrics.counter(
-            "repro_protocol_errors_total",
-            "Frames refused as framing or schema errors.",
-        )
-        self._streamed = metrics.counter(
-            "repro_streamed_events_total",
-            "Anytime-progress frames pushed to streaming clients.",
-        )
-
-    def count_request(self, op: str) -> None:
-        self._requests.inc(op=op)
-
-    def job(self, event: str) -> None:
-        self._jobs.inc(event=event)
-
-    def connection(self) -> None:
-        self._connections.inc()
-
-    def protocol_error(self) -> None:
-        self._protocol_errors.inc()
-
-    def streamed_event(self) -> None:
-        self._streamed.inc()
-
-    @property
-    def requests(self) -> Dict[str, int]:
-        return {key[0]: int(v) for key, v in self._requests.values().items()}
-
-    @property
-    def connections_total(self) -> int:
-        return int(self._connections.value())
-
-    @property
-    def protocol_errors(self) -> int:
-        return int(self._protocol_errors.value())
-
-    @property
-    def streamed_events(self) -> int:
-        return int(self._streamed.value())
-
-    def __getattr__(self, name: str) -> int:
-        # admitted / completed / failed / ... read back from the registry.
-        if name in _Stats._JOB_EVENTS:
-            return int(self._jobs.value(event=name))
-        raise AttributeError(name)
-
-
 class SolveService:
     """A long-running solve daemon; see the module docstring for the shape.
 
@@ -194,7 +115,7 @@ class SolveService:
     ) -> None:
         self.config = config or ServiceConfig()
         #: Per-instance registry: several services in one process (tests,
-        #: cluster-smoke) must not merge their counters.
+        #: an in-process cluster) must not merge their counters.
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(node="service", sink=self.config.trace_file)
         if self.config.trace_file is not None and not os.environ.get("REPRO_TRACE_FILE"):
@@ -221,7 +142,24 @@ class SolveService:
             prefer_processes=self.config.prefer_processes,
             metrics=self.metrics,
         )
-        self._stats = _Stats(self.metrics)
+        self._started = time.monotonic()
+        self._requests = self.metrics.counter(
+            "repro_requests_total", "Requests received, by op.", labels=("op",)
+        )
+        self._job_events = self.metrics.counter(
+            "repro_jobs_total", "Job lifecycle events, by kind.", labels=("event",)
+        )
+        self._connections_total = self.metrics.counter(
+            "repro_connections_total", "Client connections accepted."
+        )
+        self._protocol_errors = self.metrics.counter(
+            "repro_protocol_errors_total",
+            "Frames refused as framing or schema errors.",
+        )
+        self._streamed = self.metrics.counter(
+            "repro_streamed_events_total",
+            "Anytime-progress frames pushed to streaming clients.",
+        )
         self._request_hist = self.metrics.histogram(
             "repro_request_latency_seconds",
             "Wall seconds from dispatch of a request to its final frame.",
@@ -349,26 +287,27 @@ class SolveService:
                 None if self.cache.directory is None else str(self.cache.directory)
             )
             cache_doc["disk_bytes"] = self.cache.disk_bytes()
+        jobs = self._job_events
         return {
             "protocol_version": protocol.PROTOCOL_VERSION,
-            "uptime_s": time.monotonic() - self._stats.started_monotonic,
+            "uptime_s": time.monotonic() - self._started,
             "closing": self._closing,
             "connections": {
                 "active": len(self._connections),
-                "total": self._stats.connections_total,
+                "total": int(self._connections_total.value()),
             },
-            "requests": dict(self._stats.requests),
+            "requests": {key[0]: int(n) for key, n in self._requests.values().items()},
             "jobs": {
-                "admitted": self._stats.admitted,
-                "completed": self._stats.completed,
-                "failed": self._stats.failed,
+                "admitted": int(jobs.value(event="admitted")),
+                "completed": int(jobs.value(event="completed")),
+                "failed": int(jobs.value(event="failed")),
                 "expired": self._queue.expired,
-                "cache_answers": self._stats.cache_answers,
-                "probe_hits": self._stats.probe_hits,
-                "probe_misses": self._stats.probe_misses,
-                "dedup_shared": self._stats.dedup_shared,
-                "rejected_full": self._stats.rejected_full,
-                "rejected_closing": self._stats.rejected_closing,
+                "cache_answers": int(jobs.value(event="cache_answers")),
+                "probe_hits": int(jobs.value(event="probe_hits")),
+                "probe_misses": int(jobs.value(event="probe_misses")),
+                "dedup_shared": int(jobs.value(event="dedup_shared")),
+                "rejected_full": int(jobs.value(event="rejected_full")),
+                "rejected_closing": int(jobs.value(event="rejected_closing")),
                 "retained": len(self._jobs),
             },
             "queue": {"depth": self._queue.depth, "max_pending": self._queue.max_pending},
@@ -378,11 +317,10 @@ class SolveService:
                 "fallback_reason": self._pool.fallback_reason,
             },
             "cache": cache_doc,
-            "streamed_events": self._stats.streamed_events,
-            "protocol_errors": self._stats.protocol_errors,
-            # v4 — merged histogram summaries (count/sum/mean/p50/p90/p99
-            # per histogram family); an addition, so the pre-v4 keys above
-            # stay byte-compatible for service_bench --compare.
+            "streamed_events": int(self._streamed.value()),
+            "protocol_errors": int(self._protocol_errors.value()),
+            # merged histogram summaries (count/sum/mean/p50/p90/p99 per
+            # histogram family)
             "latency": self.metrics.histogram_summaries(),
         }
 
@@ -396,7 +334,7 @@ class SolveService:
         task = asyncio.current_task()
         if task is not None:
             self._connections.add(task)
-        self._stats.connection()
+        self._connections_total.inc()
         try:
             await self._serve_connection(reader, writer)
         except asyncio.CancelledError:
@@ -419,7 +357,7 @@ class SolveService:
             except ProtocolError as exc:
                 # After a framing error the byte stream cannot be trusted;
                 # tell the client why (best effort), then hang up.
-                self._stats.protocol_error()
+                self._protocol_errors.inc()
                 await self._try_send_error(writer, None, "protocol", str(exc))
                 return
             if doc is None:
@@ -429,7 +367,7 @@ class SolveService:
             except ProtocolError as exc:
                 # The *frame* was sound, only the message was not — the
                 # stream is still synchronized, so the connection survives.
-                self._stats.protocol_error()
+                self._protocol_errors.inc()
                 request_id = doc.get("id")
                 await self._try_send_error(
                     writer,
@@ -465,7 +403,7 @@ class SolveService:
         self, request: Dict[str, Any], writer: asyncio.StreamWriter
     ) -> None:
         op = str(request["op"])
-        self._stats.count_request(op)
+        self._requests.inc(op=op)
         request_id = str(request["id"])
         started = time.perf_counter()
         try:
@@ -550,7 +488,7 @@ class SolveService:
         span: Any = None,
     ) -> None:
         if self._closing:
-            self._stats.job("rejected_closing")
+            self._job_events.inc(event="rejected_closing")
             await self._try_send_error(
                 writer, request_id, "shutting-down", "the service is draining and admits no new work"
             )
@@ -582,14 +520,14 @@ class SolveService:
             if self.cache is not None and cacheable:
                 hit = await self._cache_get(problem, digest)
             if hit is None:
-                self._stats.job("probe_misses")
+                self._job_events.inc(event="probe_misses")
                 if span is not None:
                     span.set_attr("outcome", "probe_miss")
                 await self._try_send_error(
                     writer, request_id, "cache-miss", "the shared cache holds no entry for this digest"
                 )
             else:
-                self._stats.job("probe_hits")
+                self._job_events.inc(event="probe_hits")
                 if span is not None:
                     span.set_attr("outcome", "probe_hit")
                 await self._send_result(writer, request_id, None, hit, cache_hit=True, span=span)
@@ -599,7 +537,7 @@ class SolveService:
         if self.cache is not None and cacheable:
             hit = await self._cache_get(problem, digest)
             if hit is not None:
-                self._stats.job("cache_answers")
+                self._job_events.inc(event="cache_answers")
                 if span is not None:
                     span.set_attr("outcome", "cache_hit")
                 if not wait:
@@ -620,7 +558,7 @@ class SolveService:
             shared = self._inflight.get(digest)
             if shared is not None:
                 shared.shared += 1
-                self._stats.job("dedup_shared")
+                self._job_events.inc(event="dedup_shared")
                 if span is not None:
                     span.set_attr("outcome", "dedup_shared")
                     span.set_attr("shared_job_id", shared.job_id)
@@ -658,14 +596,14 @@ class SolveService:
         try:
             self._queue.offer(job)
         except QueueFull as exc:
-            self._stats.job("rejected_full")
+            self._job_events.inc(event="rejected_full")
             await self._try_send_error(writer, request_id, "queue-full", str(exc))
             return
         except QueueClosed as exc:
-            self._stats.job("rejected_closing")
+            self._job_events.inc(event="rejected_closing")
             await self._try_send_error(writer, request_id, "shutting-down", str(exc))
             return
-        self._stats.job("admitted")
+        self._job_events.inc(event="admitted")
         if span is not None:
             span.set_attr("outcome", "admitted")
             span.set_attr("job_id", job.job_id)
@@ -689,7 +627,7 @@ class SolveService:
                 event = await subscription.get()
                 if event is None:
                     break
-                self._stats.streamed_event()
+                self._streamed.inc()
                 await write_frame(
                     writer,
                     make_response("progress", request_id, job_id=job.job_id, **event),
@@ -845,17 +783,17 @@ class SolveService:
                 solve_span.set_attr("solver_used", result.solver)
         except (SolverError, DeadlineExceeded) as exc:
             job.state = JobState.FAILED
-            self._stats.job("failed")
+            self._job_events.inc(event="failed")
             if not job.future.done():
                 job.future.set_exception(exc)
         except Exception as exc:  # noqa: BLE001 — surfaced to the client as `internal`
             job.state = JobState.FAILED
-            self._stats.job("failed")
+            self._job_events.inc(event="failed")
             if not job.future.done():
                 job.future.set_exception(exc)
         else:
             job.state = JobState.DONE
-            self._stats.job("completed")
+            self._job_events.inc(event="completed")
             if self.cache is not None and job.cacheable:
                 await self._cache_put(job.digest, result)
             if not job.future.done():

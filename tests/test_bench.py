@@ -24,7 +24,6 @@ from repro.bench import (
     iter_scenarios,
     load_report,
     register_scenario,
-    report_records,
     run_scenario,
     run_suite,
     scenario_groups,
@@ -411,35 +410,20 @@ class TestReport:
             load_report(path)
 
     def test_load_rejects_wrong_version(self, tmp_path):
-        path = tmp_path / "vnext.json"
-        path.write_text(
-            json.dumps({"schema": SCHEMA_NAME, "schema_version": 99, "scenarios": []})
-        )
-        with pytest.raises(ValueError, match="schema_version"):
-            load_report(path)
+        # only the current schema loads: older baselines are re-recorded
+        for version in (1, 2, 99):
+            path = tmp_path / f"v{version}.json"
+            path.write_text(
+                json.dumps({"schema": SCHEMA_NAME, "schema_version": version, "scenarios": []})
+            )
+            with pytest.raises(ValueError, match="schema_version"):
+                load_report(path)
 
     def test_load_rejects_missing_scenarios(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"schema": SCHEMA_NAME, "schema_version": SCHEMA_VERSION}))
         with pytest.raises(ValueError, match="scenarios"):
             load_report(path)
-
-    def test_load_accepts_version_1_baselines(self, tmp_path):
-        # schema 2 added the refine_* fields; v1 documents (which lack them)
-        # must stay loadable so --compare can gate against older baselines
-        path = tmp_path / "v1.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "schema": SCHEMA_NAME,
-                    "schema_version": 1,
-                    "scenarios": [{"scenario": "a", "tier": "quick", "io_cost": 5}],
-                }
-            )
-        )
-        doc = load_report(path)
-        assert doc["schema_version"] == 1
-        assert report_records(doc)[0].get("refine_initial_cost") is None
 
     def test_records_carry_refinement_trajectory_fields(self):
         # a scenario whose auto dispatch lands on greedy + refinement
@@ -456,17 +440,6 @@ class TestReport:
             "refine_time_to_best_s",
         ):
             assert key in doc
-
-    def test_comparator_tolerates_v1_baseline_against_v2_run(self):
-        baseline = {
-            "schema": SCHEMA_NAME,
-            "schema_version": 1,
-            "scenarios": [_rec("a", cost=10)],
-        }
-        current = _doc([dict(_rec("a", cost=8), refine_initial_cost=10, refine_steps=96)])
-        result = compare_reports(current, baseline)
-        assert result.ok
-        assert any("fell" in note for note in result.improvements)
 
 
 # --------------------------------------------------------------------------- #

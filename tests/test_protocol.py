@@ -156,8 +156,9 @@ class TestRequestValidation:
         assert validate_request(self._solve_request())["op"] == "solve"
 
     def test_rejects_wrong_protocol_version(self):
-        with pytest.raises(ProtocolError, match="version"):
-            validate_request({"v": PROTOCOL_VERSION + 1, "op": "ping", "id": "r1"})
+        for version in (3, PROTOCOL_VERSION + 1):
+            with pytest.raises(ProtocolError, match="version"):
+                validate_request({"v": version, "op": "ping", "id": "r1"})
         with pytest.raises(ProtocolError, match="version"):
             validate_request({"op": "ping", "id": "r1"})  # missing version
 
@@ -381,13 +382,6 @@ class TestObservabilityWire:
         )
         doc.update(overrides)
         return doc
-
-    def test_v3_stamped_requests_are_still_accepted(self):
-        # a v3 peer never sends trace/metrics, but its frames must validate
-        assert validate_request({"v": 3, "op": "ping", "id": "r1"})["op"] == "ping"
-        doc = self._solve_request()
-        doc["v"] = 3
-        assert validate_request(doc)["v"] == 3
 
     def test_metrics_op_is_a_valid_request(self):
         assert validate_request(make_request("metrics", "r1"))["op"] == "metrics"

@@ -6,7 +6,7 @@ I/O.  The integration layer boots real backends and a real
 ``asyncio.run`` and drives them through the production client — the same
 wire frames a deployed cluster would carry.  Thread-mode workers keep the
 tests fast and sandbox-safe (the process path shares everything above the
-executor and is covered by the CI smokes).
+executor).
 """
 
 import asyncio

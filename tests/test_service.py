@@ -4,8 +4,9 @@ Every test starts a :class:`~repro.service.SolveService` on an ephemeral
 port inside one ``asyncio.run`` and talks to it through the actual client
 library — the frames on the wire are the production protocol, not mocks.
 The pool runs in thread mode (``prefer_processes=False``) so tests stay
-fast and sandbox-safe; the process path is covered by the CI smoke
-(``python -m repro.service smoke``) and shares all code above the executor.
+fast and sandbox-safe; the process path is exercised by
+``test_a_bad_option_fails_one_job_without_degrading_the_pool`` and shares
+all code above the executor.
 
 Slow, uncacheable solves (a ``time_budget_s`` on the anytime refiner) are
 the control knob for scheduling tests: they occupy a worker for a known
@@ -644,14 +645,6 @@ class TestObservability:
 class TestCommandLine:
     """The ``python -m repro.service`` / service-bench entry points."""
 
-    def test_smoke_subcommand_passes_end_to_end(self, capsys):
-        from repro.service.__main__ import main
-
-        assert main(["smoke", "--no-processes"]) == 0
-        out = capsys.readouterr().out
-        assert "all checks passed" in out
-        assert "[FAIL]" not in out
-
     def test_client_subcommands_against_a_live_server(self, capsys):
         import os
         import re
@@ -725,12 +718,14 @@ class TestCommandLine:
 
         from repro.bench.service_bench import main
 
-        out_path = tmp_path / "SERVICE_BENCH.json"
+        out_path = tmp_path / "SERVICE_SLO.json"
         assert (
             main(
                 [
-                    "--clients",
-                    "2",
+                    "--requests",
+                    "20",
+                    "--rate",
+                    "100",
                     "--no-processes",
                     "--scenario",
                     "tree-prbp-critical",
@@ -742,14 +737,11 @@ class TestCommandLine:
             )
             == 0
         )
-        out = capsys.readouterr().out
-        assert "cold:" in out and "warm:" in out
+        assert "open-loop SLO: 20 requests" in capsys.readouterr().out
         doc = json.loads(out_path.read_text())
-        assert doc["schema"] == "repro-prbp-service-bench"
-        assert doc["phases"]["warm"]["cache_hits"] == doc["phases"]["warm"]["requests"]
-        warm_latency = doc["phases"]["warm"]["latency_s"]
-        assert warm_latency["p99"] >= warm_latency["p50"]
-        assert doc["server"]["admitted"] == 2
+        assert doc["schema"] == "repro-prbp-service-slo"
+        assert doc["accounting_exact"] is True
+        assert doc["outcomes"]["failed"] == 0
 
 
 class TestCacheProbe:
