@@ -419,6 +419,21 @@ class TestReport:
             with pytest.raises(ValueError, match="schema_version"):
                 load_report(path)
 
+    def test_load_refuses_version_1_baselines(self, tmp_path):
+        # a v1 document with records is refused, and the error names the version this build reads
+        path = tmp_path / "v1.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "schema": SCHEMA_NAME,
+                    "schema_version": 1,
+                    "scenarios": [{"scenario": "a", "tier": "quick", "io_cost": 5}],
+                }
+            )
+        )
+        with pytest.raises(ValueError, match=f"reads version {SCHEMA_VERSION}"):
+            load_report(path)
+
     def test_load_rejects_missing_scenarios(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"schema": SCHEMA_NAME, "schema_version": SCHEMA_VERSION}))
@@ -580,6 +595,17 @@ class TestCLI:
             ]
         )
         assert code == 2
+
+    def test_compare_refuses_v1_baseline(self, tmp_path, capsys):
+        # the --compare gate refuses an old baseline rather than comparing against it
+        current_path = tmp_path / "current.json"
+        current_path.write_text(json.dumps(_doc([_rec("a", cost=8)])))
+        baseline_path = tmp_path / "v1.json"
+        baseline_path.write_text(
+            json.dumps({"schema": SCHEMA_NAME, "schema_version": 1, "scenarios": [_rec("a")]})
+        )
+        with pytest.raises(ValueError, match="schema_version 1"):
+            _bench_cli(["--input", str(current_path), "--compare", str(baseline_path)])
 
     def test_compare_against_self_exits_zero(self, tmp_path, capsys):
         out_path = tmp_path / "current.json"

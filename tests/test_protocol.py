@@ -156,9 +156,8 @@ class TestRequestValidation:
         assert validate_request(self._solve_request())["op"] == "solve"
 
     def test_rejects_wrong_protocol_version(self):
-        for version in (3, PROTOCOL_VERSION + 1):
-            with pytest.raises(ProtocolError, match="version"):
-                validate_request({"v": version, "op": "ping", "id": "r1"})
+        with pytest.raises(ProtocolError, match="version"):
+            validate_request({"v": PROTOCOL_VERSION + 1, "op": "ping", "id": "r1"})
         with pytest.raises(ProtocolError, match="version"):
             validate_request({"op": "ping", "id": "r1"})  # missing version
 
@@ -382,6 +381,15 @@ class TestObservabilityWire:
         )
         doc.update(overrides)
         return doc
+
+    def test_v3_stamped_requests_are_refused(self):
+        # only the current protocol version validates, control and solve frames alike
+        with pytest.raises(ProtocolError, match="version"):
+            validate_request({"v": 3, "op": "ping", "id": "r1"})
+        doc = self._solve_request()
+        doc["v"] = 3
+        with pytest.raises(ProtocolError, match="version"):
+            validate_request(doc)
 
     def test_metrics_op_is_a_valid_request(self):
         assert validate_request(make_request("metrics", "r1"))["op"] == "metrics"
