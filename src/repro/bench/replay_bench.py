@@ -6,15 +6,14 @@ the cache on a disk entry, the corpus on an ingested record: decode the wire
 payload, rebuild the schedule, replay it, read off the statistics.  Two
 implementations race over the *same* deterministic batch of schedules:
 
-* **engine** — the pre-IR path: the protocol-v1 per-move JSON list is turned
-  back into ``RBPMove``/``PRBPMove`` objects, wrapped in a schedule
-  container, and replayed through ``Schedule.stats()`` (per-move Python
-  dispatch);
+* **engine** — the Move-object path: a per-move JSON list is turned back
+  into ``RBPMove``/``PRBPMove`` objects, wrapped in a schedule container,
+  and replayed through ``Schedule.stats()`` (per-move Python dispatch);
 * **kernel** — the columnar path: the packed base64 columns of
   :mod:`repro.core.schedule_ir` are decoded with :func:`unpack_arrays`,
-  validated by :func:`ir_from_arrays`, and replayed through
-  :func:`replay_many` (vectorised and batched for RBP, scalar for PRBP),
-  with per-schedule move-kind counts read off via ``np.bincount``.
+  validated by :func:`ir_from_arrays`, and replayed one schedule at a time
+  through :func:`replay` (the scalar loop of the schedule's game), with
+  per-schedule move-kind counts read off via ``np.bincount``.
 
 Both sides accumulate the replayed I/O costs; the accumulators must agree,
 so the benchmark is also a differential check.  The batch is the greedy/
@@ -44,7 +43,7 @@ from ..core.schedule_ir import (
     from_schedule,
     ir_from_arrays,
     pack_arrays,
-    replay_many,
+    replay,
     to_schedule,
     unpack_arrays,
 )
@@ -82,13 +81,12 @@ def _legal_swap_variants(base: ScheduleIR, count: int, seed: int) -> List[Schedu
             batch.append(
                 ir_from_arrays(base.game, base.dag, base.r, base.variant, op, node, arg)
             )
-        outcomes = replay_many(batch, masks=False)
-        keep.extend(ir for ir, out in zip(batch, outcomes) if out.ok)
+        keep.extend(ir for ir in batch if replay(ir).ok)
     return keep[:count]
 
 
 def _engine_wire_doc(ir: ScheduleIR) -> List[List[object]]:
-    """The protocol-v1 per-move JSON shape of a schedule (the engine input)."""
+    """A per-move JSON list of a schedule (the engine input)."""
     schedule = to_schedule(ir)
     items: List[List[object]] = []
     if ir.game == "rbp":
@@ -142,12 +140,11 @@ def _kernel_validate(
     docs: List[Dict[str, object]],
 ) -> int:
     """Decode + kernel-replay every packed-column doc; returns the summed I/O."""
-    irs = []
+    total = 0
     for doc in docs:
         op, node, arg = unpack_arrays(doc)
-        irs.append(ir_from_arrays(game, dag, r, variant, op, node, arg))
-    total = 0
-    for ir, out in zip(irs, replay_many(irs, masks=False)):
+        ir = ir_from_arrays(game, dag, r, variant, op, node, arg)
+        out = replay(ir)
         if not out.ok:
             raise RuntimeError("a pre-filtered replay-bench schedule failed to replay")
         np.bincount(ir.op, minlength=5)  # the per-kind counts stats() reports
@@ -242,13 +239,13 @@ def register_replay_scenarios() -> None:
         BenchScenario(
             name="replay-throughput",
             group="schedule-ir",
-            title="batched columnar kernel vs engine replay on RBP wire schedules",
+            title="columnar kernel vs engine replay on RBP wire schedules",
             dag_factory=matvec_dag,
             game="rbp",
             solver="replay-kernel",
-            # recorded speedup is ~10-13x on an idle box; the gate floor sits
-            # at 8x so that co-tenant timer noise cannot fail CI while a real
-            # regression (losing the batched path drops this to ~2x) still does
+            # the scalar kernel records a median of ~10x on a 2-CPU box; the
+            # gate floor sits at 8x so that co-tenant timer noise cannot fail
+            # CI while a real regression in the RBP loop still does
             solve_options={"schedule_count": 40, "min_speedup": 8.0, "seed": 0},
             tiers={
                 "quick": ScenarioTier(dag_args=(18,), r=21),

@@ -25,7 +25,7 @@ does not faithfully describe the graph and is refused.  Results travel as
 the schedule's packed columnar form (the base64 ``ops``/``nodes``/``args``
 columns of :mod:`repro.core.schedule_ir`, protocol version 2) plus solver
 provenance; :func:`result_from_wire` decodes the columns and replays them
-through the vectorised replay kernel (the library's "never trust, always
+through the scalar replay kernel (the library's "never trust, always
 replay" policy), so a service client ends up holding a
 :class:`~repro.api.result.SolveResult` whose cost is the cost of an actually
 legal pebbling — bit-identical to what a local ``solve()`` returns.
@@ -499,7 +499,7 @@ def _schedule_from_wire(problem: PebblingProblem, doc: object) -> Tuple[Schedule
 
     The packed columns are decoded (any malformation — bad base64, wrong
     byte counts, out-of-range op/node ids — is a :class:`ProtocolError`) and
-    the resulting IR is replayed through the vectorised kernel, which both
+    the resulting IR is replayed through the scalar kernel, which both
     checks legality/terminality and recomputes every statistic.  Returns the
     rebuilt schedule together with the kernel-replayed statistics.
     """
@@ -624,7 +624,7 @@ def _attempts_from_wire(doc: object) -> Tuple[SolveAttempt, ...]:
 def result_from_wire(problem: PebblingProblem, doc: Mapping[str, object]) -> SolveResult:
     """Rebuild a :class:`SolveResult` against the locally held problem.
 
-    The packed columns are replayed through the vectorised kernel — the
+    The packed columns are replayed through the scalar kernel — the
     replay both validates legality and recomputes every statistic, so the
     returned result is bit-identical to a local solve (wall-clock
     ``solve_stats`` are carried verbatim; they are measurements, not derived

@@ -229,7 +229,7 @@ def _replay_cost(
     Kept for the one-time validation of the input schedule: the engines stay
     the semantics definition, so refinement only ever starts from a schedule
     the engine itself accepts.  Candidate scoring inside the search runs on
-    the differential-tested replay kernel (:func:`_score_rows`) instead.
+    the differential-tested replay kernel (:func:`replay_io_cost`) instead.
     """
     try:
         if game == "rbp":
@@ -237,22 +237,6 @@ def _replay_cost(
         return run_prbp_schedule(dag, r, moves, variant=variant).io_cost
     except PebblingError:
         return None
-
-
-def _score_rows(
-    dag: ComputationalDAG,
-    r: int,
-    rows: Sequence[Row],
-    variant: GameVariant,
-    game: str,
-) -> Optional[int]:
-    """Kernel score of a candidate row list — the refiner's hot path.
-
-    Same contract as :func:`_replay_cost` (None when the candidate is
-    illegal *or* incomplete), without per-move Move-object dispatch; the
-    equivalence is pinned down by ``tests/test_schedule_ir.py``.
-    """
-    return replay_io_cost(dag, r, variant, game, rows)
 
 
 def _io_count_rows(rows: Sequence[Row]) -> int:
@@ -422,7 +406,7 @@ def _elision_pass(
             attempted.add(sig)
             drop = set(cand)
             trial = [row for idx, row in enumerate(rows) if idx not in drop]
-            trial_cost = _score_rows(dag, r, trial, variant, game)
+            trial_cost = replay_io_cost(dag, r, variant, game, trial)
             if trial_cost is not None and trial_cost < cost:
                 rows, cost = trial, trial_cost
                 on_accept(rows, cost)
@@ -653,7 +637,7 @@ def refine_schedule(
             reordered = _displace_move(best_rows, rng)
             if reordered is None:
                 continue
-            cost = _score_rows(dag, r, reordered, variant, game)
+            cost = replay_io_cost(dag, r, variant, game, reordered)
             if cost is None:
                 continue
             # reordering alone never changes the I/O count — its value is the

@@ -1,6 +1,6 @@
 """Shared test configuration: Hypothesis profiles.
 
-Two profiles are registered:
+Three profiles are registered:
 
 * ``ci`` — deterministic (derandomized, fixed-seed) and bounded, so CI runs
   are reproducible and cannot flake on a slow example; selected in the
@@ -8,8 +8,8 @@ Two profiles are registered:
 * ``dev`` — the local default: same bounds, but with Hypothesis's random
   exploration enabled so repeated local runs keep probing new inputs.
 * ``thorough`` — the deep differential sweep (1500 examples per property):
-  run locally as ``pytest tests/test_schedule_ir.py --hypothesis-profile=thorough``
-  to push the replay-kernel harness past the 10k-case acceptance bar.
+  run as ``pytest tests/test_schedule_ir.py --hypothesis-profile=thorough``
+  (a step of CI's test job) to push the replay-kernel harness deeper.
 
 Selection order: the ``--hypothesis-profile`` CLI flag wins, then the
 ``HYPOTHESIS_PROFILE`` environment variable, then ``dev``.

@@ -340,7 +340,7 @@ class TestReplayScenarios:
             assert "min_speedup" in scenario.solve_options
 
     def test_replay_record_reports_throughput_and_speedup(self):
-        # the smaller PRBP workload keeps the test cheap; the >= 10x RBP gate
+        # the smaller PRBP workload keeps the test cheap; the >= 8x RBP gate
         # itself is exercised by the bench-smoke --compare run, not here
         # (asserting a hard speedup in a shared-CI sandbox would be flaky)
         record = run_scenario("replay-throughput-prbp-scalar", tier="quick", repeats=1)

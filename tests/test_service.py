@@ -598,6 +598,9 @@ class TestObservability:
             assert families["repro_request_latency_seconds"]["type"] == "histogram"
             assert families["repro_requests_total"]["type"] == "counter"
             assert families["repro_queue_depth"]["type"] == "gauge"
+            # the solve went through the result cache, so its counter has samples
+            assert families["repro_cache_ops_total"]["type"] == "counter"
+            assert len(families["repro_cache_ops_total"]["samples"]) >= 1
             assert "repro_request_latency_seconds" in doc["snapshot"]
             # the stats() dict carries the same histograms, summarised
             latency = service.stats()["latency"]["repro_request_latency_seconds"]
