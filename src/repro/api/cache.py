@@ -220,18 +220,17 @@ class ResultCache:
         directory: a file another process pruned between this process's
         scan and its own delete is treated as already pruned, never as an
         error.
-    validate:
-        When True (default), a disk entry's decoded schedule is replayed
-        through the scalar replay kernel before being served and its
-        statistics are compared against the stored ones — the same "never
-        trust, always replay" policy the rest of the library follows.
-        Memory entries are served as stored; they never left the process.
+
+    Every disk entry's decoded schedule is replayed through the scalar
+    replay kernel before it is served, and its statistics are compared
+    against the stored ones — the same "never trust, always replay" policy
+    the rest of the library follows.  Memory entries are served as stored;
+    they never left the process.
     """
 
     directory: Optional[Union[str, Path]] = None
     max_memory_entries: int = 1024
     max_disk_bytes: Optional[int] = None
-    validate: bool = True
     stats: CacheStats = field(default_factory=CacheStats)
     metrics: Optional[MetricsRegistry] = None
 
@@ -468,8 +467,8 @@ class ResultCache:
 
         Raises on *anything* suspicious — wrong format version (including
         pre-v3 documents that pickled the whole result), digest or problem
-        mismatch, malformed columns, and (when ``validate`` is on) a kernel
-        replay whose statistics disagree with the stored ones.  The caller
+        mismatch, malformed columns, and a kernel replay whose statistics
+        disagree with the stored ones.  The caller
         converts any raise into corrupt-entry handling.
         """
         if not isinstance(doc, dict):
@@ -495,10 +494,9 @@ class ResultCache:
         stats = doc["stats"]
         if not isinstance(stats, ScheduleStats):
             raise ValueError("entry carries no replay statistics")
-        if self.validate:
-            replayed = kernel_stats(ir)  # raises on an illegal/incomplete schedule
-            if replayed != stats:
-                raise ValueError("replayed statistics differ from the stored ones")
+        replayed = kernel_stats(ir)  # raises on an illegal/incomplete schedule
+        if replayed != stats:
+            raise ValueError("replayed statistics differ from the stored ones")
         return SolveResult(
             problem=problem,
             schedule=to_schedule(ir),

@@ -43,8 +43,8 @@ from .queue import (
     ServiceJob,
     TokenBucket,
 )
-from .router import BackendSpec, HashRing, RouterConfig, SolveRouter, run_router
-from .server import ServiceConfig, SolveService, run_service
+from .router import BackendSpec, HashRing, RouterConfig, SolveRouter
+from .server import ServiceConfig, SolveService
 from .workers import WorkerPool
 
 __all__ = [
@@ -67,9 +67,7 @@ __all__ = [
     "HashRing",
     "RouterConfig",
     "SolveRouter",
-    "run_router",
     "ServiceConfig",
     "SolveService",
-    "run_service",
     "WorkerPool",
 ]

@@ -26,9 +26,10 @@ import contextlib
 import json
 import signal
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .client import ProgressEvent, ServiceClient
+from .frames import FrameServer
 from .router import BackendSpec, RouterConfig, SolveRouter
 from .server import ServiceConfig, SolveService
 
@@ -179,17 +180,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         trace_file=args.trace_file,
     )
 
+    return _run_in_foreground(lambda: SolveService(config), "repro-serve")
+
+
+def _run_in_foreground(
+    make_server: Callable[[], FrameServer], prog: str, banner_suffix: str = ""
+) -> int:
+    """Start a server, print its banner, drain on SIGINT/SIGTERM, wait for it.
+
+    Wrappers started with ``--port 0`` scrape ``HOST:PORT`` from the banner.
+    """
+
     async def run() -> None:
-        service = SolveService(config)
-        await service.start()
-        host, port = service.address
-        print(f"repro-serve listening on {host}:{port}", flush=True)
+        server = make_server()  # inside the loop that will serve it
+        await server.start()
+        host, port = server.address
+        print(f"{prog} listening on {host}:{port}{banner_suffix}", flush=True)
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGINT, signal.SIGTERM):
             with contextlib.suppress(NotImplementedError):  # e.g. Windows event loops
-                loop.add_signal_handler(sig, service.request_shutdown)
-        await service.serve_forever()
-        print("repro-serve: drained and stopped", flush=True)
+                loop.add_signal_handler(sig, server.request_shutdown)
+        await server.wait_closed()
+        print(f"{prog}: drained and stopped", flush=True)
 
     try:
         asyncio.run(run())
@@ -311,24 +323,8 @@ def _cmd_route(args: argparse.Namespace) -> int:
         trace_file=args.trace_file,
     )
 
-    async def run() -> None:
-        router = SolveRouter(config)
-        await router.start()
-        host, port = router.address
-        names = ", ".join(spec.name for spec in config.backends)
-        print(f"repro-route listening on {host}:{port} over [{names}]", flush=True)
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError):
-                loop.add_signal_handler(sig, router.request_shutdown)
-        await router.serve_forever()
-        print("repro-route: drained and stopped", flush=True)
-
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        pass
-    return 0
+    names = ", ".join(spec.name for spec in config.backends)
+    return _run_in_foreground(lambda: SolveRouter(config), "repro-route", f" over [{names}]")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

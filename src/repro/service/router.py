@@ -50,7 +50,10 @@ bit-identical answer from any other node.  A backend that fails
 and never trigger failover — only transport failures and draining backends
 do.
 
-Everything is event-loop-thread only, like the server it fronts.
+The listener, the per-connection frame loop, the admin ops and the
+shutdown sequence are :class:`~repro.service.frames.FrameServer`'s, shared
+with the solve node.  Everything is event-loop-thread only, like the
+server it fronts.
 """
 
 from __future__ import annotations
@@ -62,12 +65,12 @@ from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..api.cache import cacheable_options, problem_digest
-from ..obs.metrics import MetricsRegistry
-from ..obs.tracing import TraceContext, Tracer
+from ..obs.tracing import TraceContext
 from . import protocol
+from .frames import ClientGone, FrameServer
 from .protocol import ProtocolError, make_response, read_frame, write_frame
 from .queue import ClientRateLimiter
 
@@ -76,7 +79,6 @@ __all__ = [
     "HashRing",
     "RouterConfig",
     "SolveRouter",
-    "run_router",
 ]
 
 
@@ -247,19 +249,16 @@ class _RelayedError(Exception):
         self.code = code
 
 
-class _ClientGone(Exception):
-    """The *requesting* client vanished mid-relay — never a backend fault."""
-
-
 # --------------------------------------------------------------------------- #
 # the router
 # --------------------------------------------------------------------------- #
 
 
-class SolveRouter:
+class SolveRouter(FrameServer):
     """Front node routing solve traffic across backend solve services.
 
-    Use as::
+    The listener, frame loop, admin ops and shutdown sequence live in
+    :class:`~repro.service.frames.FrameServer`.  Use as::
 
         router = SolveRouter(RouterConfig(backends=(BackendSpec("127.0.0.1", 7421),)))
         await router.start()
@@ -268,9 +267,14 @@ class SolveRouter:
         await router.shutdown()
     """
 
+    node_name = "router"
+    metric_prefix = "repro_router"
+    role = "router"
+
     def __init__(self, config: RouterConfig) -> None:
         if not config.backends:
             raise ValueError("a router needs at least one backend")
+        super().__init__(config.host, config.port, config.shutdown_grace_s, config.trace_file)
         self.config = config
         self._backends: "OrderedDict[str, _Backend]" = OrderedDict(
             (spec.name, _Backend(spec)) for spec in config.backends
@@ -283,29 +287,10 @@ class SolveRouter:
         )
         #: Tier-0 hot cache: digest -> (wire result doc, serving backend).
         self._hot: "OrderedDict[str, Tuple[Dict[str, Any], str]]" = OrderedDict()
-        #: Per-instance registry: several routers/services in one process
-        #: (tests, an in-process cluster) must not merge their counters.
-        self.metrics = MetricsRegistry()
-        self.tracer = Tracer(node="router", sink=config.trace_file)
-        self._started = time.monotonic()
-        self._requests = self.metrics.counter(
-            "repro_router_requests_total", "Requests received, by op.", labels=("op",)
-        )
         self._events = self.metrics.counter(
             "repro_router_events_total",
             "Routing-path events by kind (tier hits, sheds, failovers).",
             labels=("event",),
-        )
-        self._connections_total = self.metrics.counter(
-            "repro_router_connections_total", "Client connections accepted."
-        )
-        self._protocol_errors = self.metrics.counter(
-            "repro_router_protocol_errors_total",
-            "Frames refused as framing or schema errors.",
-        )
-        self._streamed = self.metrics.counter(
-            "repro_router_streamed_events_total",
-            "Progress frames relayed to streaming clients.",
         )
         self._tier_hist = self.metrics.histogram(
             "repro_router_tier_seconds",
@@ -316,82 +301,24 @@ class SolveRouter:
             "repro_router_inflight", "Solve requests currently being routed."
         )
         self._inflight = 0
-        self._server: Optional[asyncio.Server] = None
-        self._connections: Set["asyncio.Task[None]"] = set()
-        self._closing = False
-        self._closed_event: Optional[asyncio.Event] = None
-        self._shutdown_task: Optional["asyncio.Task[None]"] = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
 
-    async def start(self) -> None:
-        """Bind the listener; backends are dialled lazily per request."""
-        if self._server is not None:
-            raise RuntimeError("router already started")
-        self._closed_event = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._on_connection, host=self.config.host, port=self.config.port
-        )
-        host, port = self.address
-        self.tracer.node = f"router:{host}:{port}"
+    async def _drain_work(self, drain: bool) -> None:
+        if not drain:
+            # no grace for in-flight relays: cancel every handler now
+            current = asyncio.current_task()
+            for task in self._connections:
+                if task is not current:
+                    task.cancel()
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` (resolves ``port=0`` to the real port)."""
-        if self._server is None or not self._server.sockets:
-            raise RuntimeError("router is not listening")
-        sock = self._server.sockets[0]
-        host, port = sock.getsockname()[:2]
-        return str(host), int(port)
-
-    async def serve_forever(self) -> None:
-        """Block until the router has fully shut down."""
-        assert self._closed_event is not None, "call start() first"
-        await self._closed_event.wait()
-
-    async def wait_closed(self) -> None:
-        """Block until a shutdown (initiated elsewhere) completes."""
-        assert self._closed_event is not None, "call start() first"
-        await self._closed_event.wait()
-
-    def request_shutdown(self, drain: bool = True) -> None:
-        """Schedule a shutdown from inside the event loop."""
-        if self._shutdown_task is None:
-            self._shutdown_task = asyncio.create_task(self.shutdown(drain=drain))
-
-    async def shutdown(self, drain: bool = True) -> None:
-        """Stop the router; with ``drain`` (default) finish in-flight relays."""
-        if self._closing:
-            if self._closed_event is not None:
-                await self._closed_event.wait()
-            return
-        self._closing = True
-        if self._server is not None:
-            self._server.close()
-        current = asyncio.current_task()
-        handlers = {task for task in self._connections if task is not current}
-        if handlers:
-            if drain:
-                _, pending = await asyncio.wait(
-                    handlers, timeout=self.config.shutdown_grace_s
-                )
-            else:
-                pending = handlers
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.wait(pending, timeout=1.0)
-        if self._server is not None:
-            await self._server.wait_closed()
+    def _release_resources(self) -> None:
         for backend in self._backends.values():
             while backend.idle:
                 _, writer = backend.idle.pop()
                 writer.close()
-        self.tracer.close()
-        if self._closed_event is not None:
-            self._closed_event.set()
 
     # ------------------------------------------------------------------ #
     # observability
@@ -404,17 +331,9 @@ class SolveRouter:
         except RuntimeError:
             now = 0.0
         events = self._events
-        return {
-            "role": "router",
-            "protocol_version": protocol.PROTOCOL_VERSION,
-            "uptime_s": time.monotonic() - self._started,
-            "closing": self._closing,
-            "connections": {
-                "active": len(self._connections),
-                "total": int(self._connections_total.value()),
-            },
-            "requests": {key[0]: int(n) for key, n in self._requests.values().items()},
-            "routing": {
+        doc = super().stats()
+        doc.update(
+            routing={
                 "routed": int(events.value(event="routed")),
                 "hot_hits": int(events.value(event="hot_hits")),
                 "primary_probe_hits": int(events.value(event="primary_probe_hits")),
@@ -426,131 +345,25 @@ class SolveRouter:
                 "relayed_errors": int(events.value(event="relayed_errors")),
                 "relayed_queue_full": int(events.value(event="relayed_queue_full")),
             },
-            "shed": {
+            shed={
                 "rate_limited": int(events.value(event="shed_rate_limited")),
                 "overloaded": int(events.value(event="shed_overloaded")),
             },
-            "hot_cache": {
+            hot_cache={
                 "entries": len(self._hot),
                 "max_entries": self.config.hot_cache_entries,
             },
-            "rate_limit": {
+            rate_limit={
                 "per_s": self.config.rate_limit_per_s,
                 "burst": self._limiter.burst if self._limiter.rate is not None else None,
                 "tracked_clients": len(self._limiter),
                 "rejected": self._limiter.rejected,
             },
-            "inflight": self._inflight,
-            "max_inflight": self.config.max_inflight,
-            "backends": [backend.snapshot(now) for backend in self._backends.values()],
-            "streamed_events": int(self._streamed.value()),
-            "protocol_errors": int(self._protocol_errors.value()),
-            "latency": self.metrics.histogram_summaries(),
-        }
-
-    # ------------------------------------------------------------------ #
-    # connection handling (mirrors server.py: sequential per connection)
-    # ------------------------------------------------------------------ #
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        self._connections_total.inc()
-        try:
-            await self._serve_connection(reader, writer)
-        except asyncio.CancelledError:
-            pass  # shutdown grace expired; drop the connection
-        finally:
-            if task is not None:
-                self._connections.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        while True:
-            try:
-                doc = await read_frame(reader)
-            except ProtocolError as exc:
-                self._protocol_errors.inc()
-                await self._try_send_error(writer, None, "protocol", str(exc))
-                return
-            if doc is None:
-                return  # clean EOF
-            try:
-                request = protocol.validate_request(doc)
-            except ProtocolError as exc:
-                self._protocol_errors.inc()
-                request_id = doc.get("id")
-                await self._try_send_error(
-                    writer,
-                    request_id if isinstance(request_id, str) else None,
-                    "bad-request",
-                    str(exc),
-                )
-                continue
-            try:
-                await self._dispatch_request(request, writer)
-            except (ConnectionError, asyncio.IncompleteReadError, _ClientGone):
-                return  # client went away mid-response
-
-    async def _try_send_error(
-        self,
-        writer: asyncio.StreamWriter,
-        request_id: Optional[str],
-        code: str,
-        message: str,
-    ) -> None:
-        try:
-            await write_frame(
-                writer, make_response("error", request_id, code=code, error=message)
-            )
-        except (ConnectionError, ProtocolError, RuntimeError):
-            pass
-
-    async def _dispatch_request(
-        self, request: Dict[str, Any], writer: asyncio.StreamWriter
-    ) -> None:
-        op = str(request["op"])
-        self._requests.inc(op=op)
-        request_id = str(request["id"])
-        if op == "ping":
-            await write_frame(
-                writer,
-                make_response(
-                    "pong",
-                    request_id,
-                    protocol_version=protocol.PROTOCOL_VERSION,
-                    role="router",
-                ),
-            )
-        elif op == "stats":
-            await write_frame(writer, make_response("stats", request_id, stats=self.stats()))
-        elif op == "metrics":
-            await write_frame(
-                writer,
-                make_response(
-                    "metrics",
-                    request_id,
-                    exposition=self.metrics.exposition(),
-                    snapshot=self.metrics.snapshot(),
-                ),
-            )
-        elif op == "shutdown":
-            drain = bool(request.get("drain", True))
-            await write_frame(writer, make_response("ok", request_id, draining=drain))
-            self.request_shutdown(drain=drain)
-        elif op == "poll":
-            await self._handle_poll(request, request_id, writer)
-        elif op == "solve":
-            await self._handle_solve(request, request_id, writer)
+            inflight=self._inflight,
+            max_inflight=self.config.max_inflight,
+            backends=[backend.snapshot(now) for backend in self._backends.values()],
+        )
+        return doc
 
     # ------------------------------------------------------------------ #
     # solve routing
@@ -790,7 +603,7 @@ class SolveRouter:
             try:
                 await write_frame(writer, doc)
             except (ConnectionError, ProtocolError, RuntimeError) as exc:
-                raise _ClientGone(str(exc)) from exc
+                raise ClientGone(str(exc)) from exc
 
         backend.inflight += 1
         try:
@@ -972,9 +785,3 @@ class SolveRouter:
         while len(self._hot) > self.config.hot_cache_entries:
             self._hot.popitem(last=False)
 
-
-async def run_router(config: RouterConfig) -> SolveRouter:
-    """Start a router and return it (a convenience for embedding)."""
-    router = SolveRouter(config)
-    await router.start()
-    return router

@@ -18,9 +18,11 @@ solve, and the anytime refiner's improving schedules stream to the client
 while the solve is still running instead of being invisible until it
 returns.
 
-Request handling is sequential per connection (a frame is answered before
-the next is read); clients that want concurrency open several connections —
-they are cheap, and the admission queue is the actual scheduling point.
+The listener, the per-connection frame loop, the admin ops and the
+shutdown sequence are :class:`~repro.service.frames.FrameServer`'s, shared
+with the cluster router.  Request handling is sequential per connection;
+clients that want concurrency open several connections — they are cheap,
+and the admission queue is the actual scheduling point.
 
 Graceful shutdown (``drain=True``) stops admitting, finishes every queued
 and running job, flushes the responses, then closes; ``drain=False`` fails
@@ -37,15 +39,15 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from ..api.cache import ResultCache, cacheable_options, problem_digest
 from ..api.result import SolveResult
 from ..core.exceptions import SolverError
-from ..obs.metrics import MetricsRegistry
-from ..obs.tracing import TraceContext, Tracer
+from ..obs.tracing import Span, TraceContext
 from . import protocol
-from .protocol import ProtocolError, make_response, read_frame, write_frame
+from .frames import FrameServer
+from .protocol import ProtocolError, make_response, write_frame
 from .queue import (
     AdmissionQueue,
     DeadlineExceeded,
@@ -56,7 +58,7 @@ from .queue import (
 )
 from .workers import WorkerPool
 
-__all__ = ["ServiceConfig", "SolveService", "run_service"]
+__all__ = ["ServiceConfig", "SolveService"]
 
 
 @dataclass
@@ -82,8 +84,6 @@ class ServiceConfig:
     memory_cache_entries: int = 1024
     #: Disk-size cap handed to :class:`~repro.api.cache.ResultCache`.
     max_disk_bytes: Optional[int] = None
-    #: Replay-validate disk cache entries before serving them.
-    validate_cache: bool = True
     #: Finished jobs kept around for ``poll`` after completion.
     retained_jobs: int = 1024
     #: Seconds to wait for in-flight responses to flush during shutdown.
@@ -95,17 +95,11 @@ class ServiceConfig:
     trace_file: Optional[Union[str, Path]] = None
 
 
-class SolveService:
+class SolveService(FrameServer):
     """A long-running solve daemon; see the module docstring for the shape.
 
-    Use as::
-
-        service = SolveService(ServiceConfig(port=0))
-        await service.start()
-        host, port = service.address
-        ...
-        await service.shutdown()          # graceful drain
-        await service.wait_closed()
+    The listener, frame loop, admin ops and shutdown sequence live in
+    :class:`~repro.service.frames.FrameServer`.
     """
 
     def __init__(
@@ -113,11 +107,8 @@ class SolveService:
         config: Optional[ServiceConfig] = None,
         cache: Optional[ResultCache] = None,
     ) -> None:
-        self.config = config or ServiceConfig()
-        #: Per-instance registry: several services in one process (tests,
-        #: an in-process cluster) must not merge their counters.
-        self.metrics = MetricsRegistry()
-        self.tracer = Tracer(node="service", sink=self.config.trace_file)
+        self.config = config = config or ServiceConfig()
+        super().__init__(config.host, config.port, config.shutdown_grace_s, config.trace_file)
         if self.config.trace_file is not None and not os.environ.get("REPRO_TRACE_FILE"):
             # Worker processes read this at import; setting it before the
             # pool forks lets solver-side spans reach the same sink.
@@ -129,7 +120,6 @@ class SolveService:
                 directory=self.config.cache_dir,
                 max_memory_entries=self.config.memory_cache_entries,
                 max_disk_bytes=self.config.max_disk_bytes,
-                validate=self.config.validate_cache,
                 metrics=self.metrics,
             )
         else:
@@ -142,23 +132,8 @@ class SolveService:
             prefer_processes=self.config.prefer_processes,
             metrics=self.metrics,
         )
-        self._started = time.monotonic()
-        self._requests = self.metrics.counter(
-            "repro_requests_total", "Requests received, by op.", labels=("op",)
-        )
         self._job_events = self.metrics.counter(
             "repro_jobs_total", "Job lifecycle events, by kind.", labels=("event",)
-        )
-        self._connections_total = self.metrics.counter(
-            "repro_connections_total", "Client connections accepted."
-        )
-        self._protocol_errors = self.metrics.counter(
-            "repro_protocol_errors_total",
-            "Frames refused as framing or schema errors.",
-        )
-        self._streamed = self.metrics.counter(
-            "repro_streamed_events_total",
-            "Anytime-progress frames pushed to streaming clients.",
         )
         self._request_hist = self.metrics.histogram(
             "repro_request_latency_seconds",
@@ -177,101 +152,37 @@ class SolveService:
         self._jobs: "OrderedDict[str, ServiceJob]" = OrderedDict()
         self._inflight: Dict[str, ServiceJob] = {}
         self._job_seq = itertools.count(1)
-        self._server: Optional[asyncio.Server] = None
         #: Single thread for cache get/put: disk I/O, unpickling and replay
         #: validation must not stall the event loop, but ResultCache is not
-        #: thread-safe — one dedicated thread gives both.
-        self._cache_executor: Optional[ThreadPoolExecutor] = None
-        self._dispatchers: list = []
-        self._connections: set = set()
-        self._closing = False
-        self._closed_event: Optional[asyncio.Event] = None
-        self._shutdown_task: Optional[asyncio.Task] = None
+        #: thread-safe — one dedicated thread gives both.  Its thread starts
+        #: on first use, after the worker pool has forked.
+        self._cache_executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-service-cache"
+        )
+        self._dispatchers: List["asyncio.Task[None]"] = []
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
 
     async def start(self) -> None:
-        """Bind the listener and start the dispatcher tasks."""
-        if self._server is not None:
-            raise RuntimeError("service already started")
-        self._closed_event = asyncio.Event()
+        """Start the worker pool, bind the listener, start the dispatchers."""
         self._pool.start()  # before the loop spawns helper threads (fork safety)
-        if self.cache is not None:
-            self._cache_executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-service-cache"
-            )
-        self._server = await asyncio.start_server(
-            self._on_connection, host=self.config.host, port=self.config.port
-        )
-        host, port = self.address
-        self.tracer.node = f"service:{host}:{port}"
+        await super().start()
         self._dispatchers = [
             asyncio.create_task(self._dispatch_loop(), name=f"repro-service-dispatch-{i}")
             for i in range(self.config.workers)
         ]
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` (resolves ``port=0`` to the real port)."""
-        if self._server is None or not self._server.sockets:
-            raise RuntimeError("service is not listening")
-        sock = self._server.sockets[0]
-        host, port = sock.getsockname()[:2]
-        return str(host), int(port)
-
-    async def serve_forever(self) -> None:
-        """Block until the service has fully shut down."""
-        assert self._closed_event is not None, "call start() first"
-        await self._closed_event.wait()
-
-    async def wait_closed(self) -> None:
-        """Block until a shutdown (initiated elsewhere) completes."""
-        assert self._closed_event is not None, "call start() first"
-        await self._closed_event.wait()
-
-    def request_shutdown(self, drain: bool = True) -> None:
-        """Schedule a shutdown from inside the event loop (used by the op)."""
-        if self._shutdown_task is None:
-            self._shutdown_task = asyncio.create_task(self.shutdown(drain=drain))
-
-    async def shutdown(self, drain: bool = True) -> None:
-        """Stop the service; with ``drain`` (default) finish all admitted work."""
-        if self._closing:
-            if self._closed_event is not None:
-                await self._closed_event.wait()
-            return
-        self._closing = True
-
-        if self._server is not None:
-            self._server.close()
+    async def _drain_work(self, drain: bool) -> None:
         if not drain:
             self._queue.abort_pending()
         self._queue.close()
+        await asyncio.gather(*self._dispatchers, return_exceptions=True)
 
-        if self._dispatchers:
-            await asyncio.gather(*self._dispatchers, return_exceptions=True)
-
-        # Give connection handlers a grace period to flush final responses;
-        # idle keep-alive connections are then cancelled (close semantics).
-        if self._connections:
-            _, pending = await asyncio.wait(
-                set(self._connections), timeout=self.config.shutdown_grace_s
-            )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.wait(pending, timeout=1.0)
-
-        if self._server is not None:
-            await self._server.wait_closed()
+    def _release_resources(self) -> None:
         self._pool.shutdown()
-        if self._cache_executor is not None:
-            self._cache_executor.shutdown(wait=True)  # flush pending puts
-        self.tracer.close()
-        if self._closed_event is not None:
-            self._closed_event.set()
+        self._cache_executor.shutdown(wait=True)  # flush pending puts
 
     # ------------------------------------------------------------------ #
     # observability
@@ -288,16 +199,9 @@ class SolveService:
             )
             cache_doc["disk_bytes"] = self.cache.disk_bytes()
         jobs = self._job_events
-        return {
-            "protocol_version": protocol.PROTOCOL_VERSION,
-            "uptime_s": time.monotonic() - self._started,
-            "closing": self._closing,
-            "connections": {
-                "active": len(self._connections),
-                "total": int(self._connections_total.value()),
-            },
-            "requests": {key[0]: int(n) for key, n in self._requests.values().items()},
-            "jobs": {
+        doc = super().stats()
+        doc.update(
+            jobs={
                 "admitted": int(jobs.value(event="admitted")),
                 "completed": int(jobs.value(event="completed")),
                 "failed": int(jobs.value(event="failed")),
@@ -310,90 +214,15 @@ class SolveService:
                 "rejected_closing": int(jobs.value(event="rejected_closing")),
                 "retained": len(self._jobs),
             },
-            "queue": {"depth": self._queue.depth, "max_pending": self._queue.max_pending},
-            "pool": {
+            queue={"depth": self._queue.depth, "max_pending": self._queue.max_pending},
+            pool={
                 "mode": self._pool.mode,
                 "workers": self._pool.max_workers,
                 "fallback_reason": self._pool.fallback_reason,
             },
-            "cache": cache_doc,
-            "streamed_events": int(self._streamed.value()),
-            "protocol_errors": int(self._protocol_errors.value()),
-            # merged histogram summaries (count/sum/mean/p50/p90/p99 per
-            # histogram family)
-            "latency": self.metrics.histogram_summaries(),
-        }
-
-    # ------------------------------------------------------------------ #
-    # connection handling
-    # ------------------------------------------------------------------ #
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        self._connections_total.inc()
-        try:
-            await self._serve_connection(reader, writer)
-        except asyncio.CancelledError:
-            pass  # shutdown grace expired; drop the connection
-        finally:
-            if task is not None:
-                self._connections.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        while True:
-            try:
-                doc = await read_frame(reader)
-            except ProtocolError as exc:
-                # After a framing error the byte stream cannot be trusted;
-                # tell the client why (best effort), then hang up.
-                self._protocol_errors.inc()
-                await self._try_send_error(writer, None, "protocol", str(exc))
-                return
-            if doc is None:
-                return  # clean EOF
-            try:
-                request = protocol.validate_request(doc)
-            except ProtocolError as exc:
-                # The *frame* was sound, only the message was not — the
-                # stream is still synchronized, so the connection survives.
-                self._protocol_errors.inc()
-                request_id = doc.get("id")
-                await self._try_send_error(
-                    writer,
-                    request_id if isinstance(request_id, str) else None,
-                    "bad-request",
-                    str(exc),
-                )
-                continue
-            try:
-                await self._dispatch_request(request, writer)
-            except (ConnectionError, asyncio.IncompleteReadError):
-                return  # peer went away mid-response
-
-    async def _try_send_error(
-        self,
-        writer: asyncio.StreamWriter,
-        request_id: Optional[str],
-        code: str,
-        message: str,
-    ) -> None:
-        try:
-            await write_frame(
-                writer, make_response("error", request_id, code=code, error=message)
-            )
-        except (ConnectionError, ProtocolError, RuntimeError):
-            pass
+            cache=cache_doc,
+        )
+        return doc
 
     # ------------------------------------------------------------------ #
     # request dispatch
@@ -402,49 +231,11 @@ class SolveService:
     async def _dispatch_request(
         self, request: Dict[str, Any], writer: asyncio.StreamWriter
     ) -> None:
-        op = str(request["op"])
-        self._requests.inc(op=op)
-        request_id = str(request["id"])
         started = time.perf_counter()
         try:
-            if op == "ping":
-                await write_frame(
-                    writer,
-                    make_response(
-                        "pong", request_id, protocol_version=protocol.PROTOCOL_VERSION
-                    ),
-                )
-            elif op == "stats":
-                await write_frame(writer, make_response("stats", request_id, stats=self.stats()))
-            elif op == "metrics":
-                await write_frame(
-                    writer,
-                    make_response(
-                        "metrics",
-                        request_id,
-                        exposition=self.metrics.exposition(),
-                        snapshot=self.metrics.snapshot(),
-                    ),
-                )
-            elif op == "shutdown":
-                drain = bool(request.get("drain", True))
-                await write_frame(writer, make_response("ok", request_id, draining=drain))
-                self.request_shutdown(drain=drain)
-            elif op == "poll":
-                await self._handle_poll(request, request_id, writer)
-            elif op == "solve":
-                # The request span: a child of the router's route span when
-                # the frame carried a trace context, else a fresh trace —
-                # admission is where trace ids are minted.
-                parent = TraceContext.from_wire(request.get("trace"))
-                with self.tracer.span(
-                    "server.solve_request",
-                    parent=parent,
-                    attrs={"solver": str(request.get("solver", "auto"))},
-                ) as span:
-                    await self._handle_solve(request, request_id, writer, span)
+            await super()._dispatch_request(request, writer)
         finally:
-            self._request_hist.observe(time.perf_counter() - started, op=op)
+            self._request_hist.observe(time.perf_counter() - started, op=str(request["op"]))
 
     async def _handle_poll(
         self, request: Dict[str, Any], request_id: str, writer: asyncio.StreamWriter
@@ -481,11 +272,24 @@ class SolveService:
         return doc
 
     async def _handle_solve(
+        self, request: Dict[str, Any], request_id: str, writer: asyncio.StreamWriter
+    ) -> None:
+        # The request span: a child of the router's route span when the
+        # frame carried a trace context, else a fresh trace — admission is
+        # where trace ids are minted.
+        with self.tracer.span(
+            "server.solve_request",
+            parent=TraceContext.from_wire(request.get("trace")),
+            attrs={"solver": str(request.get("solver", "auto"))},
+        ) as span:
+            await self._admit_solve(request, request_id, writer, span)
+
+    async def _admit_solve(
         self,
         request: Dict[str, Any],
         request_id: str,
         writer: asyncio.StreamWriter,
-        span: Any = None,
+        span: Span,
     ) -> None:
         if self._closing:
             self._job_events.inc(event="rejected_closing")
@@ -521,15 +325,13 @@ class SolveService:
                 hit = await self._cache_get(problem, digest)
             if hit is None:
                 self._job_events.inc(event="probe_misses")
-                if span is not None:
-                    span.set_attr("outcome", "probe_miss")
+                span.set_attr("outcome", "probe_miss")
                 await self._try_send_error(
                     writer, request_id, "cache-miss", "the shared cache holds no entry for this digest"
                 )
             else:
                 self._job_events.inc(event="probe_hits")
-                if span is not None:
-                    span.set_attr("outcome", "probe_hit")
+                span.set_attr("outcome", "probe_hit")
                 await self._send_result(writer, request_id, None, hit, cache_hit=True, span=span)
             return
 
@@ -538,8 +340,7 @@ class SolveService:
             hit = await self._cache_get(problem, digest)
             if hit is not None:
                 self._job_events.inc(event="cache_answers")
-                if span is not None:
-                    span.set_attr("outcome", "cache_hit")
+                span.set_attr("outcome", "cache_hit")
                 if not wait:
                     # fire-and-forget keeps its job-id/poll contract even on
                     # the fast path: wrap the answer in an already-done job
@@ -559,9 +360,8 @@ class SolveService:
             if shared is not None:
                 shared.shared += 1
                 self._job_events.inc(event="dedup_shared")
-                if span is not None:
-                    span.set_attr("outcome", "dedup_shared")
-                    span.set_attr("shared_job_id", shared.job_id)
+                span.set_attr("outcome", "dedup_shared")
+                span.set_attr("shared_job_id", shared.job_id)
                 if wait:
                     dedup_started = time.perf_counter()
                     try:
@@ -590,7 +390,7 @@ class SolveService:
             stream=stream,
             priority=priority,
             deadline=deadline,
-            trace=span.context if span is not None else None,
+            trace=span.context,
         )
         subscription = job.subscribe() if stream else None
         try:
@@ -604,9 +404,8 @@ class SolveService:
             await self._try_send_error(writer, request_id, "shutting-down", str(exc))
             return
         self._job_events.inc(event="admitted")
-        if span is not None:
-            span.set_attr("outcome", "admitted")
-            span.set_attr("job_id", job.job_id)
+        span.set_attr("outcome", "admitted")
+        span.set_attr("job_id", job.job_id)
         self._remember_job(job)
         if cacheable and self._inflight.setdefault(digest, job) is job:
             # whichever way the job ends — solved, failed, expired at
@@ -639,13 +438,12 @@ class SolveService:
         writer: asyncio.StreamWriter,
         request_id: str,
         job: ServiceJob,
-        span: Any = None,
+        span: Span,
     ) -> None:
         try:
             result = await asyncio.shield(job.future)
         except Exception as exc:  # noqa: BLE001 — every failure maps to an error frame
-            if span is not None:
-                span.set_status("error")
+            span.set_status("error")
             await self._try_send_error(writer, request_id, _error_code(exc), str(exc))
             return
         await self._send_result(writer, request_id, job, result, cache_hit=False, span=span)
@@ -657,7 +455,7 @@ class SolveService:
         job: Optional[ServiceJob],
         result: SolveResult,
         cache_hit: bool,
-        span: Any = None,
+        span: Span,
     ) -> None:
         doc = make_response(
             "result",
@@ -666,8 +464,7 @@ class SolveService:
             cache_hit=cache_hit,
             result=protocol.result_to_wire(result),
         )
-        if span is not None:
-            doc["trace_id"] = span.context.trace_id
+        doc["trace_id"] = span.context.trace_id
         await write_frame(writer, doc)
 
     async def _cache_get(self, problem: Any, digest: str) -> Optional[SolveResult]:
@@ -781,12 +578,7 @@ class SolveService:
                 )
                 solve_span.set_attr("cost", result.cost)
                 solve_span.set_attr("solver_used", result.solver)
-        except (SolverError, DeadlineExceeded) as exc:
-            job.state = JobState.FAILED
-            self._job_events.inc(event="failed")
-            if not job.future.done():
-                job.future.set_exception(exc)
-        except Exception as exc:  # noqa: BLE001 — surfaced to the client as `internal`
+        except Exception as exc:  # noqa: BLE001 — _error_code types it for the client
             job.state = JobState.FAILED
             self._job_events.inc(event="failed")
             if not job.future.done():
@@ -819,9 +611,3 @@ def _error_code(error: BaseException) -> str:
         return "shutting-down"
     return "internal"
 
-
-async def run_service(config: Optional[ServiceConfig] = None) -> SolveService:
-    """Start a service and return it (a convenience for embedding)."""
-    service = SolveService(config)
-    await service.start()
-    return service

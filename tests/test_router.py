@@ -12,6 +12,7 @@ executor).
 import asyncio
 import contextlib
 import json
+import struct
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.service import (
     SolveService,
     TokenBucket,
 )
+from repro.service.protocol import encode_frame, make_request, read_frame
 
 # --------------------------------------------------------------------------- #
 # hash ring
@@ -562,3 +564,38 @@ class TestFailover:
                 router._closing = False  # let the fixture shut down normally
 
         _run_with_cluster(scenario, backends=2)
+
+
+class TestWireRobustness:
+    """The router serves the same frame loop as a node: same framing rules."""
+
+    def test_garbage_bytes_get_a_protocol_error_then_hangup(self):
+        async def scenario(router, services, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(struct.pack(">I", 12) + b"not-json-at!")
+            await writer.drain()
+            doc = await read_frame(reader)
+            assert doc["op"] == "error" and doc["code"] == "protocol"
+            assert await reader.read() == b""  # router hung up after the error
+            writer.close()
+            assert router.stats()["protocol_errors"] == 1
+
+        _run_with_cluster(scenario, backends=1)
+
+    def test_bad_message_keeps_the_connection_alive(self):
+        async def scenario(router, services, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(encode_frame({"v": 1, "op": "warp", "id": "r1"}))
+            await writer.drain()
+            doc = await read_frame(reader)
+            assert doc["op"] == "error" and doc["code"] == "bad-request"
+            assert doc["id"] == "r1"
+            # framing stayed synchronized: the next request works
+            writer.write(encode_frame(make_request("ping", "r2")))
+            await writer.drain()
+            doc = await read_frame(reader)
+            assert doc["op"] == "pong" and doc["id"] == "r2"
+            assert doc["role"] == "router"
+            writer.close()
+
+        _run_with_cluster(scenario, backends=1)
