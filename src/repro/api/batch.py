@@ -31,15 +31,16 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.exceptions import SolverError
+from ..obs.tracing import TraceContext, reset_current_trace, set_current_trace
 from .cache import ResultCache, cacheable_options, problem_digest
 from .dispatch import AUTO_EXACT_NODE_LIMIT, solve
 from .problem import PebblingProblem
 from .result import SolveResult
 
-__all__ = ["solve_many", "solve_many_detailed", "BatchInfo"]
+__all__ = ["solve_many", "solve_many_detailed", "solve_task", "BatchInfo"]
 
 #: One slot of the output list: a result, or the :class:`SolverError` the
 #: problem raised (only with ``return_exceptions=True``).
@@ -86,18 +87,26 @@ def _solve_repeated(
     return best
 
 
-def _worker(payload: Tuple[PebblingProblem, str, Dict[str, object], int]):
-    """Process-pool task: returns ``("ok", result)`` or ``("solver_error", exc)``.
+def solve_task(payload: Tuple[PebblingProblem, str, Dict, int, Optional[Dict]]) -> Tuple[str, Any]:
+    """Pool task of the batch layer and the service: ``("ok", result)`` or
+    ``("solver_error", exc)``.
 
+    The payload is ``(problem, solver, options, repeats, trace_wire)``.
     Only :class:`SolverError` travels back as data (it is an expected
-    per-problem outcome); any other exception propagates through the future
-    and is handled — re-raised or retried serially — by the parent.
+    per-problem outcome); any other exception propagates through the
+    future.  A trace context in wire form is installed around the solve,
+    so the spans a worker emits join the caller's trace.
     """
-    problem, solver, options, repeats = payload
+    problem, solver, options, repeats, trace_wire = payload
+    ctx = TraceContext.from_wire(trace_wire) if trace_wire else None
+    token = set_current_trace(ctx) if ctx is not None else None
     try:
         return ("ok", _solve_repeated(problem, solver, options, repeats))
     except SolverError as exc:
         return ("solver_error", exc)
+    finally:
+        if token is not None:
+            reset_current_trace(token)
 
 
 def _snapshot_workers(executor: ProcessPoolExecutor) -> List[object]:
@@ -233,7 +242,9 @@ def solve_many_detailed(
         try:
             executor = ProcessPoolExecutor(max_workers=min(jobs, len(remaining)))
             futures = {
-                i: executor.submit(_worker, (problems[i], solvers[i], all_options[i], repeats))
+                i: executor.submit(
+                    solve_task, (problems[i], solvers[i], all_options[i], repeats, None)
+                )
                 for i in remaining
             }
             still_serial: List[int] = []

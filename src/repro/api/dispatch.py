@@ -48,9 +48,10 @@ from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from ..core.exceptions import SolverError
+from ..obs.recorder import recording
+from ..obs.telemetry import SolveTelemetry, get_telemetry_log
 from ..obs.tracing import get_tracer
-from ..solvers.anytime import last_refinement_trajectory, refine_schedule
-from ..solvers.exhaustive import last_search_telemetry
+from ..solvers.anytime import refine_schedule
 from .bounds import best_lower_bound
 from .problem import PebblingProblem
 from .registry import SolverInfo, get_solver, list_solvers
@@ -92,20 +93,16 @@ def _run(
 
     ``bound`` is the problem's precomputed ``best_lower_bound`` pair — it
     depends only on the problem, so callers compute it once per solve rather
-    than once per portfolio attempt.
+    than once per portfolio attempt.  The solver runs under a fresh
+    :class:`~repro.obs.recorder.SolveRecorder`, which holds its A* counters
+    and refinement trajectory if it entered the search or the refiner.
     """
-    telemetry_before = last_search_telemetry()
-    trajectory_before = last_refinement_trajectory()
     start = time.perf_counter()
-    schedule: Schedule = info.fn(problem, **options)
+    with recording() as recorder:
+        schedule: Schedule = info.fn(problem, **options)
     stats = schedule.stats()  # replays through the engine; raises on an illegal schedule
     wall_time = time.perf_counter() - start
-    telemetry = last_search_telemetry()
-    if telemetry is telemetry_before:
-        telemetry = None  # this solver never entered the A* search
-    trajectory = last_refinement_trajectory()
-    if trajectory is trajectory_before:
-        trajectory = None  # this solver never entered the refinement engine
+    search = recorder.search
     return SolveResult(
         problem=problem,
         schedule=schedule,
@@ -116,9 +113,9 @@ def _run(
         lower_bound_source=bound[1],
         solve_stats=SolveStats(
             wall_time_s=wall_time,
-            states_expanded=telemetry.expanded if telemetry else None,
-            states_frontier_peak=telemetry.frontier_peak if telemetry else None,
-            refinement=trajectory,
+            states_expanded=search.expanded if search else None,
+            states_frontier_peak=search.frontier_peak if search else None,
+            refinement=recorder.refinement,
         ),
     )
 
@@ -156,12 +153,7 @@ def _apply_refinement(result: SolveResult, **options: object) -> SolveResult:
     extra = time.perf_counter() - start
 
     old = result.solve_stats
-    solve_stats = SolveStats(
-        wall_time_s=(old.wall_time_s if old is not None else 0.0) + extra,
-        states_expanded=old.states_expanded if old is not None else None,
-        states_frontier_peak=old.states_frontier_peak if old is not None else None,
-        refinement=trajectory,
-    )
+    solve_stats = replace(old, wall_time_s=old.wall_time_s + extra, refinement=trajectory)
     if trajectory.refined_cost < trajectory.initial_cost:
         return replace(result, schedule=refined, stats=refined.stats(), solve_stats=solve_stats)
     return replace(result, solve_stats=solve_stats)
@@ -201,13 +193,8 @@ def _finalize_auto(
         SolveAttempt(solver=str(s), wall_time_s=float(w), outcome=str(o))
         for s, w, o in timings
     )
-    old = result.solve_stats
-    solve_stats = SolveStats(
-        wall_time_s=time.perf_counter() - started,
-        states_expanded=old.states_expanded if old is not None else None,
-        states_frontier_peak=old.states_frontier_peak if old is not None else None,
-        refinement=old.refinement if old is not None else None,
-        attempts=attempts,
+    solve_stats = replace(
+        result.solve_stats, wall_time_s=time.perf_counter() - started, attempts=attempts
     )
     return replace(result, solve_stats=solve_stats)
 
@@ -404,10 +391,6 @@ def _solve_dispatch(
     return _run(info, problem, best_lower_bound(problem), **options)
 
 
-#: Count of telemetry-recording failures (a diagnostic, not an error path:
-#: recording must never take down a successful solve).
-_telemetry_failures = 0
-
 #: Option value types that are recorded verbatim in telemetry.
 _SCALAR_TYPES = (str, int, float, bool, type(None))
 
@@ -419,19 +402,21 @@ def _record_solve_telemetry(
     result: SolveResult,
     trace_id: Optional[str],
 ) -> None:
-    """Append one :class:`~repro.obs.telemetry.SolveTelemetry` record.
+    """Append one :class:`~repro.obs.telemetry.SolveTelemetry` record to the sink.
 
-    This is the data ROADMAP item 5 (telemetry-driven portfolio) trains
-    on: instance digest + features, requested/used solver, scalar options,
-    cost, bound gap, wall time, states expanded, per-attempt portfolio
-    timings.  Failures are counted, never raised.
+    The record holds the instance digest and features, the requested and
+    used solver, scalar options, cost, bound gap, wall time, states
+    expanded and the per-attempt portfolio timings.  Nothing is computed
+    when the telemetry log has no sink.  A record that fails to build or
+    write counts in the log's ``dropped_writes``; it never fails the solve.
     """
-    global _telemetry_failures
+    log = get_telemetry_log()
+    if log.sink_path is None:
+        return
     try:
         # Lazy imports: corpus.features pulls in repro.corpus, whose package
         # __init__ imports api.batch — a module-level import here would cycle.
         from ..corpus.features import extract_features
-        from ..obs.telemetry import SolveTelemetry, get_telemetry_log
         from .cache import problem_digest
 
         stats = result.solve_stats
@@ -439,7 +424,7 @@ def _record_solve_telemetry(
             {"solver": a.solver, "wall_time_s": a.wall_time_s, "outcome": a.outcome}
             for a in (getattr(stats, "attempts", ()) or ())
         ]
-        get_telemetry_log().record(
+        log.record(
             SolveTelemetry(
                 digest=problem_digest(problem),
                 solver_requested=solver_requested,
@@ -461,4 +446,4 @@ def _record_solve_telemetry(
             )
         )
     except Exception:  # noqa: BLE001 - telemetry must never break a solve
-        _telemetry_failures += 1
+        log.dropped_writes += 1

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -159,19 +160,24 @@ class _DagData:
 
 _DAG_DATA_CACHE: "OrderedDict[int, Tuple[ComputationalDAG, _DagData]]" = OrderedDict()
 _DAG_DATA_CACHE_SIZE = 32
+# Guards the LRU: concurrent solves in one process share it, and an eviction
+# between another thread's lookup and move_to_end would raise KeyError.
+_DAG_DATA_LOCK = threading.Lock()
 
 
 def _dag_data(dag: ComputationalDAG) -> _DagData:
     key = id(dag)
-    hit = _DAG_DATA_CACHE.get(key)
-    if hit is not None and hit[0] is dag:
-        _DAG_DATA_CACHE.move_to_end(key)
-        return hit[1]
+    with _DAG_DATA_LOCK:
+        hit = _DAG_DATA_CACHE.get(key)
+        if hit is not None and hit[0] is dag:
+            _DAG_DATA_CACHE.move_to_end(key)
+            return hit[1]
     data = _DagData(dag)
-    _DAG_DATA_CACHE[key] = (dag, data)
-    _DAG_DATA_CACHE.move_to_end(key)
-    while len(_DAG_DATA_CACHE) > _DAG_DATA_CACHE_SIZE:
-        _DAG_DATA_CACHE.popitem(last=False)
+    with _DAG_DATA_LOCK:
+        _DAG_DATA_CACHE[key] = (dag, data)
+        _DAG_DATA_CACHE.move_to_end(key)
+        while len(_DAG_DATA_CACHE) > _DAG_DATA_CACHE_SIZE:
+            _DAG_DATA_CACHE.popitem(last=False)
     return data
 
 

@@ -1,4 +1,4 @@
-"""Observability primitives: metrics registry, tracing, solve telemetry.
+"""Observability primitives: metrics registry, tracing, solve telemetry, per-solve recorder.
 
 Everything in this package is stdlib-only and safe to import from any
 layer of the system (it has no dependencies on :mod:`repro.api` or

@@ -1,18 +1,16 @@
 """Per-solve telemetry records — the input for a learned solver portfolio.
 
-Every :func:`repro.api.dispatch.solve` call appends one
-:class:`SolveTelemetry` record describing the instance (digest plus the
-deterministic features from :mod:`repro.corpus.features`), what was
-asked (requested solver, scalar options), what happened (solver used,
-cost, bound gap, wall time, states expanded, per-attempt portfolio
-timings), and — when a trace is active — the ``trace_id`` linking the
-record to its spans.
-
-Records land in a bounded in-memory ring (always on, cheap) and, when a
-sink is configured, are appended as one JSON line each.  The sink is
-configured via the ``REPRO_TELEMETRY_FILE`` environment variable so that
-process-pool solve workers, which inherit the environment, append to the
-same file as their parent.
+When a sink is configured, every :func:`repro.api.dispatch.solve` call
+appends one :class:`SolveTelemetry` record to it as a JSON line.  The
+record describes the instance (digest plus the deterministic features
+from :mod:`repro.corpus.features`), what was asked (requested solver,
+scalar options), what happened (solver used, cost, bound gap, wall time,
+states expanded, per-attempt portfolio timings), and — when a trace is
+active — the ``trace_id`` linking the record to its spans.  Without a
+sink no record is built.  The sink is configured via the
+``REPRO_TELEMETRY_FILE`` environment variable so that process-pool solve
+workers, which inherit the environment, append to the same file as their
+parent.
 """
 
 from __future__ import annotations
@@ -20,10 +18,9 @@ from __future__ import annotations
 import json
 import os
 import threading
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 __all__ = [
     "SolveTelemetry",
@@ -73,14 +70,9 @@ class SolveTelemetry:
 
 
 class TelemetryLog:
-    """Bounded ring of solve records plus an optional JSONL file sink."""
+    """Optional JSONL file sink for solve records; ``dropped_writes`` counts lost ones."""
 
-    def __init__(
-        self,
-        ring_entries: int = 1024,
-        sink: Optional[Union[str, Path]] = None,
-    ) -> None:
-        self._ring: Deque[SolveTelemetry] = deque(maxlen=max(1, ring_entries))
+    def __init__(self, sink: Optional[Union[str, Path]] = None) -> None:
         self._lock = threading.Lock()
         self._sink_path: Optional[Path] = Path(sink) if sink else None
         self._sink_handle: Optional[Any] = None
@@ -93,7 +85,6 @@ class TelemetryLog:
 
     def record(self, entry: SolveTelemetry) -> None:
         with self._lock:
-            self._ring.append(entry)
             if self._sink_path is not None and not self._sink_failed:
                 try:
                     if self._sink_handle is None:
@@ -108,13 +99,6 @@ class TelemetryLog:
                 except OSError:
                     self._sink_failed = True
                     self.dropped_writes += 1
-
-    def recent(self, limit: Optional[int] = None) -> List[SolveTelemetry]:
-        with self._lock:
-            entries = list(self._ring)
-        if limit is not None:
-            entries = entries[-limit:]
-        return entries
 
     def close(self) -> None:
         with self._lock:
@@ -146,17 +130,14 @@ def get_telemetry_log() -> TelemetryLog:
         return _GLOBAL_LOG
 
 
-def configure_telemetry(
-    sink: Optional[Union[str, Path]] = None,
-    ring_entries: int = 1024,
-) -> TelemetryLog:
+def configure_telemetry(sink: Optional[Union[str, Path]] = None) -> TelemetryLog:
     """Replace the process-global telemetry log (closing the old sink)."""
 
     global _GLOBAL_LOG
     with _GLOBAL_LOCK:
         if _GLOBAL_LOG is not None:
             _GLOBAL_LOG.close()
-        _GLOBAL_LOG = TelemetryLog(ring_entries=ring_entries, sink=sink)
+        _GLOBAL_LOG = TelemetryLog(sink=sink)
         return _GLOBAL_LOG
 
 

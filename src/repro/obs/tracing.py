@@ -156,17 +156,16 @@ class _ActiveSpan:
         self.status = status
 
 
+#: Spans a :class:`Tracer` keeps in memory for :meth:`Tracer.recent`.
+_RING_SPANS = 2048
+
+
 class Tracer:
     """Emits spans to a bounded ring buffer and an optional JSONL sink."""
 
-    def __init__(
-        self,
-        node: str = "",
-        ring_entries: int = 2048,
-        sink: Optional[Union[str, Path]] = None,
-    ) -> None:
+    def __init__(self, node: str = "", sink: Optional[Union[str, Path]] = None) -> None:
         self.node = node
-        self._ring: Deque[Span] = deque(maxlen=max(1, ring_entries))
+        self._ring: Deque[Span] = deque(maxlen=_RING_SPANS)
         self._lock = threading.Lock()
         self._sink_path: Optional[Path] = Path(sink) if sink else None
         self._sink_handle: Optional[Any] = None
@@ -321,16 +320,12 @@ def get_tracer() -> Tracer:
         return _GLOBAL_TRACER
 
 
-def configure_tracer(
-    node: str = "",
-    sink: Optional[Union[str, Path]] = None,
-    ring_entries: int = 2048,
-) -> Tracer:
+def configure_tracer(node: str = "", sink: Optional[Union[str, Path]] = None) -> Tracer:
     """Replace the process-global tracer (closing the previous sink)."""
 
     global _GLOBAL_TRACER
     with _GLOBAL_TRACER_LOCK:
         if _GLOBAL_TRACER is not None:
             _GLOBAL_TRACER.close()
-        _GLOBAL_TRACER = Tracer(node=node, sink=sink, ring_entries=ring_entries)
+        _GLOBAL_TRACER = Tracer(node=node, sink=sink)
         return _GLOBAL_TRACER

@@ -13,60 +13,30 @@ processes and fall back to a thread:
   instead of failing requests, exactly like the batch layer's serial
   fallback.
 
-Thread-mode solves are serialized behind one lock: the dispatch layer
-snapshots module-global telemetry (A* counters, refinement trajectories)
-around each solver run, and two solves interleaving in one process would
-cross-attribute those snapshots.  Processes are unaffected — each worker
-has its own globals — so the lock costs nothing in the common mode.
+Both modes run the batch layer's task, :func:`repro.api.batch.solve_task`.
+Thread-mode solves run side by side, up to ``max_workers`` at a time: each
+solve keeps its A* counters and refinement trajectory in its own
+:class:`~repro.obs.recorder.SolveRecorder`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import pickle
-import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
-from ..api.dispatch import solve
+from ..api.batch import solve_task
 from ..api.problem import PebblingProblem
 from ..api.result import SolveResult
-from ..core.exceptions import SolverError
 from ..obs.metrics import MetricsRegistry
-from ..obs.tracing import TraceContext, reset_current_trace, set_current_trace
+from ..obs.tracing import TraceContext
 
 __all__ = ["WorkerPool"]
 
 #: Progress sink: called with (cost, elapsed_s) from the solving thread.
 ProgressFn = Callable[[int, float], None]
-
-
-def _solve_task(
-    payload: Tuple[PebblingProblem, str, Dict[str, Any], Optional[Dict[str, str]]],
-) -> Tuple[str, Any]:
-    """Process-pool task: ``("ok", result)`` or ``("solver_error", exc)``.
-
-    Mirrors the batch layer's worker: a :class:`SolverError` is an expected
-    per-problem outcome and travels back as data; anything else propagates
-    through the future as a genuine bug.  The trailing payload element is
-    the wire form of the request's trace context; installing it here lets
-    the solve span emitted inside the worker process join the request's
-    trace (worker processes inherit ``REPRO_TRACE_FILE``, so their spans
-    land in the same JSONL sink).
-    """
-    problem, solver, options, trace_wire = payload
-    token = None
-    ctx = TraceContext.from_wire(trace_wire) if trace_wire else None
-    if ctx is not None:
-        token = set_current_trace(ctx)
-    try:
-        return ("ok", solve(problem, solver=solver, **options))
-    except SolverError as exc:
-        return ("solver_error", exc)
-    finally:
-        if token is not None:
-            reset_current_trace(token)
 
 
 class WorkerPool:
@@ -99,7 +69,6 @@ class WorkerPool:
             )
         self._process_pool: Optional[ProcessPoolExecutor] = None
         self._thread_pool: Optional[ThreadPoolExecutor] = None
-        self._thread_lock = threading.Lock()  # serializes thread-mode solves
         self._fallback_reason: Optional[str] = None
         self._started = False
 
@@ -186,12 +155,15 @@ class WorkerPool:
         on_progress: Optional[ProgressFn],
         trace: Optional[TraceContext],
     ) -> SolveResult:
-        if on_progress is None and self._process_pool is not None:
+        assert self._thread_pool is not None, "WorkerPool.start() must run first"
+        options = dict(options)
+        if on_progress is not None:
+            options["on_progress"] = on_progress
+        payload = (problem, solver, options, 1, trace.to_wire() if trace else None)
+        mode = "thread" if on_progress is not None or self._process_pool is None else "process"
+        if mode == "process":
             try:
-                payload = (problem, solver, dict(options), trace.to_wire() if trace else None)
-                tag, value = await loop.run_in_executor(
-                    self._process_pool, _solve_task, payload
-                )
+                tag, value = await loop.run_in_executor(self._process_pool, solve_task, payload)
             except (BrokenProcessPool, pickle.PicklingError) as exc:
                 # The *pool* died under this task (worker OOM-killed, platform
                 # revoked fork) or the task cannot cross the process boundary.
@@ -201,13 +173,14 @@ class WorkerPool:
                 # a broken pool would let one bad request de-parallelize the
                 # whole daemon.
                 self._abandon_processes(f"{type(exc).__name__}: {exc}")
-                return await self._run_in_thread(loop, problem, solver, options, None, trace)
-            if self._solves_counter is not None:
-                self._solves_counter.inc(mode="process")
-            if tag == "solver_error":
-                raise value
-            return value
-        return await self._run_in_thread(loop, problem, solver, options, on_progress, trace)
+                mode = "thread"
+        if mode == "thread":
+            tag, value = await loop.run_in_executor(self._thread_pool, solve_task, payload)
+        if self._solves_counter is not None:
+            self._solves_counter.inc(mode=mode)
+        if tag == "solver_error":
+            raise value
+        return value
 
     # ------------------------------------------------------------------ #
     # internals
@@ -218,32 +191,3 @@ class WorkerPool:
         pool, self._process_pool = self._process_pool, None
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
-
-    async def _run_in_thread(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        problem: PebblingProblem,
-        solver: str,
-        options: Dict[str, Any],
-        on_progress: Optional[ProgressFn],
-        trace: Optional[TraceContext] = None,
-    ) -> SolveResult:
-        assert self._thread_pool is not None, "WorkerPool.start() must run first"
-
-        def call() -> SolveResult:
-            with self._thread_lock:
-                # The contextvar must be set in *this* thread — executor
-                # threads do not inherit the event loop's context.
-                token = set_current_trace(trace) if trace is not None else None
-                try:
-                    kwargs = dict(options)
-                    if on_progress is not None:
-                        kwargs["on_progress"] = on_progress
-                    return solve(problem, solver=solver, **kwargs)
-                finally:
-                    if token is not None:
-                        reset_current_trace(token)
-
-        if self._solves_counter is not None:
-            self._solves_counter.inc(mode="thread")
-        return await loop.run_in_executor(self._thread_pool, call)

@@ -5,7 +5,6 @@ from .anytime import (
     DEFAULT_REFINE_STEPS,
     RefinementTrajectory,
     beam_construct,
-    last_refinement_trajectory,
     refine_schedule,
 )
 from .baselines import naive_prbp_schedule, naive_rbp_schedule
@@ -40,7 +39,6 @@ __all__ = [
     "DEFAULT_REFINE_STEPS",
     "RefinementTrajectory",
     "beam_construct",
-    "last_refinement_trajectory",
     "refine_schedule",
     "naive_prbp_schedule",
     "naive_rbp_schedule",

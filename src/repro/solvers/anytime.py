@@ -68,6 +68,7 @@ from ..core.schedule_ir import (
 )
 from ..core.strategy import PRBPSchedule, RBPSchedule
 from ..core.variants import GameVariant
+from ..obs.recorder import current_recorder
 from .greedy import greedy_rbp_schedule, topological_prbp_schedule
 
 __all__ = [
@@ -76,7 +77,6 @@ __all__ = [
     "RefinementTrajectory",
     "refine_schedule",
     "beam_construct",
-    "last_refinement_trajectory",
     "schedule_io_count",
 ]
 
@@ -148,19 +148,6 @@ class RefinementTrajectory:
     def improvement(self) -> int:
         """I/O operations shaved off the initial schedule."""
         return self.initial_cost - self.refined_cost
-
-
-_LAST_TRAJECTORY: Optional[RefinementTrajectory] = None
-
-
-def last_refinement_trajectory() -> Optional[RefinementTrajectory]:
-    """Trajectory of the most recent refinement run in this process.
-
-    Mirrors :func:`repro.solvers.exhaustive.last_search_telemetry`: the
-    dispatch layer snapshots this before and after a solver run to decide
-    whether the run went through the anytime engine.
-    """
-    return _LAST_TRAJECTORY
 
 
 # --------------------------------------------------------------------------- #
@@ -573,9 +560,10 @@ def refine_schedule(
     -------
     (schedule, trajectory):
         The refined schedule — never costlier than the input — and the
-        :class:`RefinementTrajectory` describing the run.
+        :class:`RefinementTrajectory` describing the run.  Inside a solve
+        the trajectory is also stored on the solve's
+        :class:`~repro.obs.recorder.SolveRecorder`.
     """
-    global _LAST_TRAJECTORY
     game = _game_of(schedule)
     dag, r, variant = schedule.dag, schedule.r, schedule.variant
 
@@ -662,7 +650,9 @@ def refine_schedule(
         seed=seed,
         seed_solver=origin,
     )
-    _LAST_TRAJECTORY = trajectory
+    recorder = current_recorder()
+    if recorder is not None:
+        recorder.refinement = trajectory
     return refined, trajectory
 
 

@@ -84,6 +84,7 @@ from ..core.moves import MoveKind, PRBPMove, RBPMove
 from ..core.pebbles import PRBPState
 from ..core.strategy import PRBPSchedule, RBPSchedule
 from ..core.variants import ONE_SHOT, GameVariant
+from ..obs.recorder import current_recorder
 
 __all__ = [
     "optimal_rbp_schedule",
@@ -196,32 +197,22 @@ def _compute_root_lower_bound(
 
 @dataclass(frozen=True)
 class SearchTelemetry:
-    """Counters of the most recent A* run (successful or aborted).
+    """Counters of one A* run (successful or aborted)."""
 
-    ``run_id`` increases with every search, so callers that wrap a solver
-    invocation can tell whether the search actually ran in between (the
-    greedy and structured solvers never touch it).
-    """
-
-    run_id: int
     expanded: int
     frontier_peak: int
     completed: bool
     dominated_pruned: int = 0
 
 
-# Telemetry is published per thread: a concurrent solve() in another thread
-# must never see (and misattribute) this thread's search counters.
-_telemetry_store = threading.local()
-_run_ids = count(1)
-
-
 def last_search_telemetry() -> Optional[SearchTelemetry]:
-    """Counters of the calling thread's most recent exhaustive search.
+    """Counters of the latest A* run of the solve running in this context.
 
-    ``None`` before any search ran on this thread.
+    Reads the per-solve :class:`~repro.obs.recorder.SolveRecorder`:
+    ``None`` outside a solve and before its first search.
     """
-    return getattr(_telemetry_store, "last", None)
+    recorder = current_recorder()
+    return recorder.search if recorder is not None else None
 
 
 def _popcount(x: int) -> int:
@@ -648,13 +639,11 @@ def _astar(search, max_states: int):
     equal-or-lower g is skipped without expansion (and without counting
     against the state budget).
 
-    Telemetry (expanded states, frontier peak, dominance prunes) is
-    published through :func:`last_search_telemetry` whether the search
-    succeeds, runs out of budget, or exhausts the space — the counters are
-    part of the cost model the benchmark suite tracks, not just a success
-    statistic.
+    Telemetry (expanded states, frontier peak, dominance prunes) goes to
+    the solve's recorder whether the search succeeds, runs out of budget,
+    or exhausts the space — the counters are part of the cost model the
+    benchmark suite tracks, not just a success statistic.
     """
-    run_id = next(_run_ids)
     root = search.root_bound
     start = search.initial()
     dist: Dict = {start: 0.0}
@@ -713,13 +702,14 @@ def _astar(search, max_states: int):
                 frontier_peak = len(heap)
         raise SolverError("the search space was exhausted without reaching a terminal configuration")
     finally:
-        _telemetry_store.last = SearchTelemetry(
-            run_id=run_id,
-            expanded=expanded,
-            frontier_peak=frontier_peak,
-            completed=completed,
-            dominated_pruned=pruned,
-        )
+        recorder = current_recorder()
+        if recorder is not None:
+            recorder.search = SearchTelemetry(
+                expanded=expanded,
+                frontier_peak=frontier_peak,
+                completed=completed,
+                dominated_pruned=pruned,
+            )
 
 
 def _reconstruct(parent: Dict, goal) -> List:

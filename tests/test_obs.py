@@ -231,16 +231,6 @@ class TestTracer:
 
 
 class TestTelemetry:
-    def test_ring_keeps_the_most_recent_records(self):
-        log = TelemetryLog(ring_entries=2)
-        for i in range(4):
-            log.record(SolveTelemetry(
-                digest=f"d{i}", solver_requested="auto", solver_used="greedy",
-                cost=i, lower_bound=None, gap=None, wall_time_s=0.0,
-                states_expanded=None,
-            ))
-        assert [doc.digest for doc in log.recent()] == ["d2", "d3"]
-
     def test_sink_round_trips_and_garbage_lines_are_skipped(self, tmp_path):
         sink = tmp_path / "telemetry.jsonl"
         log = TelemetryLog(sink=sink)
@@ -256,33 +246,64 @@ class TestTelemetry:
         assert records[0]["digest"] == "abc" and records[0]["states_expanded"] == 42
 
     def test_solve_appends_one_record_per_solve(self, tmp_path):
-        log = configure_telemetry(sink=tmp_path / "t.jsonl")
+        sink = tmp_path / "t.jsonl"
+        configure_telemetry(sink=sink)
         try:
             problem = PebblingProblem(figure1_gadget(), r=4, game="prbp")
             result = solve(problem)
-            records = log.recent()
+            records = read_telemetry_file(sink)
             assert len(records) == 1
             doc = records[0]
-            assert doc.digest
-            assert doc.solver_requested == "auto"
-            assert doc.solver_used == result.solver
-            assert doc.cost == result.cost
-            assert doc.wall_time_s > 0.0
-            assert doc.features["n"] == problem.dag.n
-            assert doc.trace_id
+            assert doc["digest"]
+            assert doc["solver_requested"] == "auto"
+            assert doc["solver_used"] == result.solver
+            assert doc["cost"] == result.cost
+            assert doc["wall_time_s"] > 0.0
+            assert doc["features"]["n"] == problem.dag.n
+            assert doc["trace_id"]
             # the auto portfolio's per-member attribution rides along
-            assert any(a["outcome"] == "won" for a in doc.attempts)
+            assert any(a["outcome"] == "won" for a in doc["attempts"])
         finally:
             configure_telemetry()
 
-    def test_direct_solver_telemetry_has_no_attempts(self):
-        log = configure_telemetry()
+    def test_direct_solver_telemetry_has_no_attempts(self, tmp_path):
+        sink = tmp_path / "t.jsonl"
+        configure_telemetry(sink=sink)
         try:
             problem = PebblingProblem(kary_tree_dag(2, 3), r=3, game="prbp")
             solve(problem, solver="greedy")
-            doc = log.recent()[-1]
-            assert doc.solver_requested == "greedy"
-            assert list(doc.attempts) == []
+            doc = read_telemetry_file(sink)[-1]
+            assert doc["solver_requested"] == "greedy"
+            assert list(doc["attempts"]) == []
+        finally:
+            configure_telemetry()
+
+    def test_no_sink_means_no_features_are_extracted(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "repro.corpus.features.extract_features",
+            lambda problem: calls.append(problem),
+        )
+        configure_telemetry()
+        solve(PebblingProblem(figure1_gadget(), r=4, game="prbp"))
+        assert calls == []
+
+    def test_a_record_that_fails_to_build_is_counted_not_raised(self, tmp_path, monkeypatch):
+        problem = PebblingProblem(figure1_gadget(), r=4, game="prbp")
+        want = solve(problem)
+
+        def broken(problem):
+            raise RuntimeError("feature extraction failed")
+
+        monkeypatch.setattr("repro.corpus.features.extract_features", broken)
+        sink = tmp_path / "t.jsonl"
+        log = configure_telemetry(sink=sink)
+        try:
+            result = solve(problem)
+            assert result.cost == want.cost
+            assert result.schedule.moves == want.schedule.moves
+            assert log.dropped_writes == 1
+            assert not sink.exists() or read_telemetry_file(sink) == []
         finally:
             configure_telemetry()
 

@@ -13,6 +13,9 @@ the deep sweep (1500 examples per property, 4500 engine-differential cases);
 CI's test job runs it on one Python version.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -407,3 +410,34 @@ def test_compute_cost_variants_match_engine():
         outcome = sir.replay(sir.from_schedule(schedule))
         assert_outcome_matches(outcome, verdict, schedule)
         assert outcome.compute_cost_total > 0
+
+
+def test_dag_data_cache_survives_concurrent_eviction(monkeypatch):
+    # one slot and four threads, each with its own DAG: every call evicts
+    # another thread's entry, so an unlocked LRU raises KeyError in
+    # move_to_end between a lookup and its reorder
+    monkeypatch.setattr(sir, "_DAG_DATA_CACHE_SIZE", 1)
+    dags = [kary_tree_dag(2, 2) for _ in range(4)]
+    errors = []
+    start = threading.Barrier(len(dags))
+
+    def hammer(dag):
+        start.wait()
+        try:
+            for _ in range(5_000):
+                sir._dag_data(dag)
+        except Exception as exc:  # noqa: BLE001 - collected and asserted below
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(dag,)) for dag in dags]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []

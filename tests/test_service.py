@@ -16,6 +16,7 @@ wall-clock window without touching the cache or the dedup table.
 import asyncio
 import json
 import struct
+import threading
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.service import (
     ServiceConfig,
     ServiceError,
     SolveService,
+    WorkerPool,
 )
 from repro.obs.metrics import parse_exposition
 from repro.obs.tracing import Tracer
@@ -171,6 +173,45 @@ class TestConcurrentClients:
             assert stats["jobs"]["cache_answers"] == 0
 
         _run_with_service(scenario, workers=1)
+
+
+class TestWorkerPool:
+    def test_thread_mode_solves_overlap_and_keep_their_own_telemetry(self):
+        problems = {
+            10: PebblingProblem(chained_gadget_dag(8), r=4, game="rbp"),
+            11: PebblingProblem(kary_tree_dag(2, 4), r=3, game="rbp"),
+        }
+        started = {seed: threading.Event() for seed in problems}
+        pool = WorkerPool(max_workers=2, prefer_processes=False)
+
+        def progress(seed, other):
+            def on_progress(cost, elapsed_s):
+                if not started[seed].is_set():
+                    started[seed].set()
+                    # only a solve running side by side can set the other event
+                    assert started[other].wait(timeout=10.0)
+
+            return on_progress
+
+        async def run():
+            pool.start()
+            try:
+                return await asyncio.gather(*(
+                    pool.run(
+                        problem,
+                        "anytime",
+                        {"seed": seed, "refine_steps": 8},
+                        on_progress=progress(seed, other),
+                    )
+                    for (seed, problem), other in zip(problems.items(), (11, 10))
+                ))
+            finally:
+                pool.shutdown()
+
+        results = asyncio.run(run())
+        for seed, result in zip(problems, results):
+            assert result.solve_stats.refinement.seed == seed
+            assert result.solve_stats.states_expanded is None
 
 
 class TestStreaming:
