@@ -48,6 +48,7 @@ from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from ..core.exceptions import SolverError
+from ..core.schedule_ir import from_schedule, kernel_stats
 from ..obs.recorder import recording
 from ..obs.telemetry import SolveTelemetry, get_telemetry_log
 from ..obs.tracing import get_tracer
@@ -125,7 +126,12 @@ def _apply_refinement(result: SolveResult, **options: object) -> SolveResult:
 
     Cost-monotone by construction — the refined schedule replaces the
     original only when it is strictly cheaper; either way the trajectory is
-    recorded on ``solve_stats``.  Skipped entirely when the result is
+    recorded on ``solve_stats``.  The input was already replayed by the
+    engine in :func:`_run`, and :func:`refine_schedule` validates it again
+    before searching; a refined schedule's stats come from the replay
+    kernel (:func:`~repro.core.schedule_ir.kernel_stats`, pinned to the
+    engines by the differential harness), so the solve replays through the
+    engine once.  Skipped entirely when the result is
     already provably optimal, when ``refine=False`` is passed, or — unless a
     refinement knob was given explicitly — on DAGs above
     :data:`GREEDY_COMPARISON_NODE_LIMIT` nodes, where the replay-heavy
@@ -155,7 +161,8 @@ def _apply_refinement(result: SolveResult, **options: object) -> SolveResult:
     old = result.solve_stats
     solve_stats = replace(old, wall_time_s=old.wall_time_s + extra, refinement=trajectory)
     if trajectory.refined_cost < trajectory.initial_cost:
-        return replace(result, schedule=refined, stats=refined.stats(), solve_stats=solve_stats)
+        stats = kernel_stats(from_schedule(refined))
+        return replace(result, schedule=refined, stats=stats, solve_stats=solve_stats)
     return replace(result, solve_stats=solve_stats)
 
 
@@ -407,11 +414,15 @@ def _record_solve_telemetry(
     The record holds the instance digest and features, the requested and
     used solver, scalar options, cost, bound gap, wall time, states
     expanded and the per-attempt portfolio timings.  Nothing is computed
-    when the telemetry log has no sink.  A record that fails to build or
-    write counts in the log's ``dropped_writes``; it never fails the solve.
+    when the telemetry log has no sink, or once a write to it has failed.
+    A record that fails to build or write, or is skipped after such a
+    failure, counts in the log's ``dropped_writes``; it never fails the solve.
     """
     log = get_telemetry_log()
     if log.sink_path is None:
+        return
+    if log.sink_failed:
+        log.drop()
         return
     try:
         # Lazy imports: corpus.features pulls in repro.corpus, whose package
@@ -446,4 +457,4 @@ def _record_solve_telemetry(
             )
         )
     except Exception:  # noqa: BLE001 - telemetry must never break a solve
-        log.dropped_writes += 1
+        log.drop()

@@ -31,6 +31,9 @@ Each game has exactly one replay loop over plain int rows (no Move-object
 dispatch, no set churn): :func:`replay` wraps it into a full
 :class:`ReplayOutcome`, and :func:`replay_io_cost` — what the anytime
 refiner scores every mutation with — reads only the verdict and the I/O.
+A loop can also resume from a :class:`ReplayState` (made by
+:func:`start_state`, moved forward by :func:`advance`), so a mutation that
+leaves a prefix untouched is scored on its suffix alone.
 
 The IR is also the interchange format of the cache and the wire protocol:
 :func:`pack_arrays` / :func:`unpack_arrays` implement the shared base64
@@ -70,6 +73,9 @@ __all__ = [
     "decode_moves",
     "replay",
     "replay_io_cost",
+    "ReplayState",
+    "start_state",
+    "advance",
     "kernel_stats",
     "ir_digest",
     "pack_arrays",
@@ -516,26 +522,55 @@ class ReplayOutcome:
 _Run = Tuple[Optional[int], int, float, int, bool, Tuple[bytearray, ...]]
 
 
+@dataclass(slots=True)
+class ReplayState:
+    """Where one game's replay loop stands: its per-node arrays and counters.
+
+    ``arrays`` is ``(red, blue, computed)`` for RBP and ``(state, marked,
+    edge_computes, marked_in, marked_out)`` for PRBP; ``compute`` is the
+    compute count (RBP) or the compute cost so far (PRBP).  A loop given a
+    state resumes from it, updates the arrays in place and writes the
+    counters back, so a state only moves forward; :meth:`copy` forks one.
+    """
+
+    arrays: Tuple
+    io: int = 0
+    rc: int = 0
+    peak: int = 0
+    compute: float = 0
+
+    def copy(self) -> "ReplayState":
+        return ReplayState(
+            tuple(a[:] for a in self.arrays), self.io, self.rc, self.peak, self.compute
+        )
+
+
+def _fresh_state(data: _DagData, game: str) -> ReplayState:
+    n, m = data.n, data.m
+    if game == "rbp":
+        return ReplayState((bytearray(n), bytearray(data.is_source), bytearray(n)))
+    # states mirror PRBPState: 0 NONE, 1 BLUE, 2 BLUE_LIGHT_RED, 3 DARK_RED;
+    # sources start BLUE (1), every other node NONE (0)
+    arrays = (bytearray(data.is_source), bytearray(m), [0] * m, [0] * n, [0] * n)
+    return ReplayState(arrays, compute=0.0)
+
+
 def _rbp_scalar(
     data: _DagData,
     r: int,
     variant: GameVariant,
     rows: Sequence[MoveRow],
+    start: Optional[ReplayState] = None,
 ) -> _Run:
-    n = data.n
+    at = start if start is not None else _fresh_state(data, "rbp")
+    red, blue, computed = at.arrays
     is_source = data.is_source
-    red = bytearray(n)
-    blue = bytearray(is_source)
-    computed = bytearray(n)
     preds = data.preds
     pred_sets = data.pred_sets
     allow_delete = variant.allow_delete
     allow_sliding = variant.allow_sliding
     one_shot = variant.one_shot
-    io = 0
-    rc = 0
-    peak = 0
-    computes = 0
+    io, rc, peak, computes = at.io, at.rc, at.peak, at.compute
     failed: Optional[int] = None
     for i, (op, x, y) in enumerate(rows):
         if op == 0:  # load
@@ -607,6 +642,7 @@ def _rbp_scalar(
         else:  # clear (and any other op) is not part of RBP
             failed = i
             break
+    at.io, at.rc, at.peak, at.compute = io, rc, peak, computes
     terminal = failed is None and all(blue[v] for v in data.sinks)
     cost = computes * variant.compute_cost
     return failed, io, cost, peak, terminal, (red, blue, computed)
@@ -617,15 +653,11 @@ def _prbp_scalar(
     r: int,
     variant: GameVariant,
     rows: Sequence[MoveRow],
+    start: Optional[ReplayState] = None,
 ) -> _Run:
-    # states mirror PRBPState: 0 NONE, 1 BLUE, 2 BLUE_LIGHT_RED, 3 DARK_RED
-    n = data.n
+    at = start if start is not None else _fresh_state(data, "prbp")
+    state, marked, edge_computes, marked_in, marked_out = at.arrays
     is_source = data.is_source
-    state = bytearray(is_source)  # sources start BLUE (1), every other node NONE (0)
-    marked = bytearray(data.m)
-    edge_computes = [0] * data.m
-    marked_in = [0] * n
-    marked_out = [0] * n
     indeg = data.indeg
     outdeg = data.outdeg
     is_sink = data.is_sink
@@ -635,10 +667,7 @@ def _prbp_scalar(
     one_shot = variant.one_shot
     base_compute_cost = variant.compute_cost
     split = variant.split_compute_cost
-    io = 0
-    rc = 0
-    peak = 0
-    compute_cost_total = 0.0
+    io, rc, peak, compute_cost_total = at.io, at.rc, at.peak, at.compute
     failed: Optional[int] = None
     for i, (op, x, y) in enumerate(rows):
         if op == 0:  # load
@@ -731,6 +760,7 @@ def _prbp_scalar(
         else:  # pragma: no cover — op codes are exhaustive after validation
             failed = i
             break
+    at.io, at.rc, at.peak, at.compute = io, rc, peak, compute_cost_total
     terminal = (
         failed is None
         and all(marked)
@@ -803,6 +833,7 @@ def replay_io_cost(
     variant: GameVariant,
     game: str,
     rows: Sequence[MoveRow],
+    start: Optional[ReplayState] = None,
 ) -> Optional[int]:
     """I/O cost of a candidate row list, or ``None`` unless it replays legally
     *and* terminally — the kernel twin of the refiner's engine replay.
@@ -810,10 +841,36 @@ def replay_io_cost(
     This is the mutation-scoring hot path: the same loop as :func:`replay`,
     without building the outcome's masks.  Rows must use in-range node ids
     (the refiner's rows come from encoded schedules, which guarantees it).
+    With ``start``, ``rows`` is scored as the continuation of the prefix that
+    brought ``start`` where it is (the cost counts that prefix's I/O too),
+    and ``start`` is advanced in place; pass a :meth:`ReplayState.copy` to
+    keep it.
     """
     loop = _rbp_scalar if game == "rbp" else _prbp_scalar
-    _, io, _, _, terminal, _ = loop(_dag_data(dag), r, variant, rows)
+    _, io, _, _, terminal, _ = loop(_dag_data(dag), r, variant, rows, start)
     return io if terminal else None
+
+
+def start_state(dag: ComputationalDAG, game: str) -> ReplayState:
+    """The replay state before move 0 (sources blue, nothing red)."""
+    return _fresh_state(_dag_data(dag), game)
+
+
+def advance(
+    dag: ComputationalDAG,
+    r: int,
+    variant: GameVariant,
+    game: str,
+    rows: Sequence[MoveRow],
+    state: ReplayState,
+) -> Optional[int]:
+    """Move ``state`` forward over ``rows`` in place.
+
+    Returns the index into ``rows`` of the first illegal move (the state
+    then stands just before it), or ``None`` when every row applied.
+    """
+    loop = _rbp_scalar if game == "rbp" else _prbp_scalar
+    return loop(_dag_data(dag), r, variant, rows, state)[0]
 
 
 def kernel_stats(ir: ScheduleIR) -> ScheduleStats:

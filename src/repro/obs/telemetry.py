@@ -83,6 +83,11 @@ class TelemetryLog:
     def sink_path(self) -> Optional[Path]:
         return self._sink_path
 
+    @property
+    def sink_failed(self) -> bool:
+        """True once a write to the sink has failed; later records are dropped."""
+        return self._sink_failed
+
     def record(self, entry: SolveTelemetry) -> None:
         with self._lock:
             if self._sink_path is not None and not self._sink_failed:
@@ -99,6 +104,13 @@ class TelemetryLog:
                 except OSError:
                     self._sink_failed = True
                     self.dropped_writes += 1
+            elif self._sink_failed:
+                self.dropped_writes += 1
+
+    def drop(self) -> None:
+        """Count one record that was lost before it reached :meth:`record`."""
+        with self._lock:
+            self.dropped_writes += 1
 
     def close(self) -> None:
         with self._lock:

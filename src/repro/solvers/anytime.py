@@ -7,7 +7,10 @@ closes part of that gap: given any legal RBP/PRBP schedule it runs a
 local-search refinement under an explicit step and/or wall-clock budget and
 returns a schedule that is **never costlier than its input** (cost
 monotonicity is enforced by construction — a mutation is kept only when the
-full replay through the game engine is legal and strictly cheaper).
+replay kernel of :mod:`repro.core.schedule_ir`, differentially tested against
+the game engines, finds it legal, terminal and strictly cheaper; an elision
+is replayed only from its first changed move, resuming from a cursor that
+has already replayed the unchanged prefix).
 
 Refinement operators
 --------------------
@@ -62,9 +65,11 @@ from ..core.schedule_ir import (
     OP_DELETE,
     OP_LOAD,
     OP_SAVE,
+    advance,
     decode_moves,
     encode_moves,
     replay_io_cost,
+    start_state,
 )
 from ..core.strategy import PRBPSchedule, RBPSchedule
 from ..core.variants import GameVariant
@@ -119,8 +124,8 @@ class RefinementTrajectory:
     refined_cost:
         I/O cost of the returned schedule (``<= initial_cost`` always).
     steps:
-        Mutation attempts actually spent (each attempt replays a candidate
-        schedule through the engine).
+        Mutation attempts actually spent (each attempt scores a candidate
+        schedule with the replay kernel).
     accepted:
         How many attempts produced a strictly cheaper legal schedule.
     time_to_best_s:
@@ -247,13 +252,13 @@ def _make_schedule(
 # --------------------------------------------------------------------------- #
 
 
-def _later_load_positions(rows: Sequence[Row], n: int) -> List[List[int]]:
-    """Per node, the ascending move indices at which it is loaded."""
-    loads: List[List[int]] = [[] for _ in range(n)]
+def _last_load_index(rows: Sequence[Row], n: int) -> List[int]:
+    """Per node, the move index of its last load (-1 when it is never loaded)."""
+    last = [-1] * n
     for i, (op, x, _) in enumerate(rows):
         if op == OP_LOAD:
-            loads[x].append(i)
-    return loads
+            last[x] = i
+    return last
 
 
 def _rbp_elision_candidates(
@@ -267,7 +272,7 @@ def _rbp_elision_candidates(
     exactly as the engine-walk version did).
     """
     candidates: List[Tuple[int, ...]] = []
-    loads = _later_load_positions(rows, dag.n)
+    last_load = _last_load_index(rows, dag.n)
     red: Set[int] = set()
     blue: Set[int] = set(dag.sources)
     is_sink = dag.is_sink
@@ -284,7 +289,7 @@ def _rbp_elision_candidates(
         elif op == OP_SAVE:
             if v in blue:
                 candidates.append((i,))
-            elif not is_sink(v) and not any(p > i for p in loads[v]):
+            elif not is_sink(v) and last_load[v] <= i:
                 candidates.append((i,))
             blue.add(v)
             if not allow_delete:
@@ -311,7 +316,7 @@ def _prbp_elision_candidates(
     dag: ComputationalDAG, r: int, rows: Sequence[Row], variant: GameVariant
 ) -> List[Tuple[int, ...]]:
     candidates: List[Tuple[int, ...]] = []
-    loads = _later_load_positions(rows, dag.n)
+    last_load = _last_load_index(rows, dag.n)
     state = [_P_NONE] * dag.n
     for v in dag.sources:
         state[v] = _P_BLUE
@@ -326,7 +331,7 @@ def _prbp_elision_candidates(
             if state[x] == _P_BLUE:
                 state[x] = _P_LIGHT
         elif op == OP_SAVE:
-            if not is_sink(x) and not any(p > i for p in loads[x]):
+            if not is_sink(x) and last_load[x] <= i:
                 candidates.append((i,))
             state[x] = _P_LIGHT
         elif op == OP_DELETE:
@@ -347,28 +352,6 @@ def _prbp_elision_candidates(
     return candidates
 
 
-def _candidate_signature(
-    rows: Sequence[Row], cand: Tuple[int, ...]
-) -> Tuple[Tuple[Row, int], ...]:
-    """Position-independent identity of a candidate: its rows + occurrence ranks.
-
-    Candidate indices shift after every successful removal; the signature
-    survives the shift, so a candidate that failed once (e.g. a round trip
-    whose removal would overflow capacity) is not retried on every sweep —
-    failed retries would otherwise silently drain the step budget.  Rows are
-    a bijective image of Move objects (:func:`encode_moves`), so the dedup
-    classes are exactly the pre-kernel ones.
-    """
-    counts: Dict[Row, int] = {}
-    occ: Dict[int, Tuple[Row, int]] = {}
-    wanted = set(cand)
-    for idx, row in enumerate(rows):
-        if idx in wanted:
-            occ[idx] = (row, counts.get(row, 0))
-        counts[row] = counts.get(row, 0) + 1
-    return tuple(occ[idx] for idx in cand)
-
-
 def _elision_pass(
     dag: ComputationalDAG,
     r: int,
@@ -379,23 +362,53 @@ def _elision_pass(
     budget: _Budget,
     on_accept: Callable[[List[Row], int], None],
 ) -> Tuple[List[Row], int]:
-    """Repeatedly remove free I/O until a fixed point (or budget exhaustion)."""
+    """Repeatedly remove free I/O until a fixed point (or budget exhaustion).
+
+    ``rows`` must be legal and complete (``cost`` is its I/O cost).  A
+    candidate is identified by its rows plus their occurrence ranks (how
+    many equal rows precede each).  Candidate indices shift after every
+    successful removal; the signature survives the shift, so a candidate
+    that failed once (e.g. a round trip whose removal would overflow
+    capacity) is not retried on every sweep — failed retries would
+    otherwise silently drain the step budget.  Rows are a bijective image
+    of Move objects (:func:`encode_moves`), so the dedup classes are exactly
+    the pre-kernel ones.  Rows change only on an accept, which ends the
+    sweep, so the ranks are computed once per sweep.
+
+    A removal leaves the rows before its first dropped index untouched, so
+    each candidate is scored on its suffix alone, from a copy of a cursor
+    that replays the sweep's rows once, moving forward; a candidate that
+    starts behind the cursor (the delete of a round trip) restarts it.
+    """
     find = _rbp_elision_candidates if game == "rbp" else _prbp_elision_candidates
     attempted: Set[Tuple[Tuple[Row, int], ...]] = set()
     for _ in range(_MAX_ELISION_SWEEPS):
+        counts: Dict[Row, int] = {}
+        ranks: List[int] = []
+        for row in rows:
+            rank = counts.get(row, 0)
+            ranks.append(rank)
+            counts[row] = rank + 1
+        cursor, at = start_state(dag, game), 0
         improved = False
         for cand in find(dag, r, rows, variant):
-            sig = _candidate_signature(rows, cand)
+            sig = tuple((rows[i], ranks[i]) for i in cand)
             if sig in attempted:
                 continue
             if not budget.spend():
                 return rows, cost
             attempted.add(sig)
-            drop = set(cand)
-            trial = [row for idx, row in enumerate(rows) if idx not in drop]
-            trial_cost = replay_io_cost(dag, r, variant, game, trial)
+            first = cand[0]  # candidate indices are ascending
+            if first < at:
+                cursor, at = start_state(dag, game), 0
+            advance(dag, r, variant, game, rows[at:first], cursor)
+            at = first
+            suffix: List[Row] = []
+            for i, j in zip(cand, cand[1:] + (len(rows),)):
+                suffix += rows[i + 1 : j]
+            trial_cost = replay_io_cost(dag, r, variant, game, suffix, cursor.copy())
             if trial_cost is not None and trial_cost < cost:
-                rows, cost = trial, trial_cost
+                rows, cost = rows[:first] + suffix, trial_cost
                 on_accept(rows, cost)
                 improved = True
                 break  # indices shifted; re-derive candidates

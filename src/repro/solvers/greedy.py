@@ -92,17 +92,17 @@ def topological_prbp_schedule(
     uses = _next_use_table(participants, dag.n)
 
     game = PRBPGame(dag, r, variant=variant)
+    # the nodes holding a red pebble: loads and computes add one, only the
+    # eviction below removes one (the final sink saves keep it red)
+    red: Set[int] = set()
 
     def make_room(pos: int, protected: Set[int]) -> None:
         """Free one fast-memory slot, never touching ``protected`` nodes."""
         if game.red_count() < r:
             return
-        # candidates: every red node outside the protected set
-        candidates = [
-            v
-            for v in dag.nodes()
-            if game.node_state(v).has_red and v not in protected
-        ]
+        # candidates: every red node outside the protected set, ascending
+        # (the order ``max`` breaks ties in)
+        candidates = [v for v in sorted(red) if v not in protected]
         if not candidates:
             raise SolverError(
                 f"cannot free a fast-memory slot at position {pos}: all {r} red pebbles are in use"
@@ -126,6 +126,7 @@ def topological_prbp_schedule(
         if game.node_state(victim) is PRBPState.DARK_RED and not freely_deletable(victim):
             game.apply(PRBPMove(MoveKind.SAVE, node=victim))
         game.apply(PRBPMove(MoveKind.DELETE, node=victim))
+        red.discard(victim)
 
     for pos, (u, v) in enumerate(edge_sequence):
         # 1. make sure u is in fast memory
@@ -133,6 +134,7 @@ def topological_prbp_schedule(
             protected = {v} if game.node_state(v).has_red else set()
             make_room(pos, protected)
             game.apply(PRBPMove(MoveKind.LOAD, node=u))
+            red.add(u)
         # 2. make sure v can receive the dark red pebble
         stv = game.node_state(v)
         if stv is PRBPState.BLUE:
@@ -142,6 +144,7 @@ def topological_prbp_schedule(
             make_room(pos, {u})
         # 3. aggregate
         game.apply(PRBPMove(MoveKind.COMPUTE, edge=(u, v)))
+        red.add(v)
 
     for v in dag.sinks:
         if game.node_state(v) is PRBPState.DARK_RED:

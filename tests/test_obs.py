@@ -307,6 +307,29 @@ class TestTelemetry:
         finally:
             configure_telemetry()
 
+    def test_every_record_after_a_failed_write_is_counted(self, tmp_path, monkeypatch):
+        from repro.corpus import features
+
+        calls = []
+        real = features.extract_features
+
+        def counted(problem):
+            calls.append(problem)
+            return real(problem)
+
+        monkeypatch.setattr("repro.corpus.features.extract_features", counted)
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        log = configure_telemetry(sink=blocker / "t.jsonl")
+        try:
+            for _ in range(3):
+                solve(PebblingProblem(figure1_gadget(), r=4, game="prbp"))
+            assert log.dropped_writes == 3
+            # once the sink has failed, no record is built for it
+            assert len(calls) <= 1
+        finally:
+            configure_telemetry()
+
 
 class TestAutoPortfolioAttribution:
     def test_auto_wall_time_covers_all_attempts(self):

@@ -224,6 +224,65 @@ def test_kernel_stats_matches_schedule_stats(schedule):
 
 
 # --------------------------------------------------------------------------- #
+# resumed replay: a state advanced over a prefix, then the suffix, is the
+# full replay (what the refiner's suffix-only scoring relies on)
+# --------------------------------------------------------------------------- #
+
+
+@st.composite
+def legal_case(draw):
+    """A legal schedule: a random legal walk or a complete greedy pebbling."""
+    game = draw(st.sampled_from(["rbp", "prbp"]))
+    dag = draw(st.sampled_from(DAGS))
+    variant = draw(st.sampled_from(BUNDLES if game == "rbp" else PRBP_BUNDLES))
+    if variant.allow_delete and draw(st.booleans()):
+        # complete, so the resumed replay also has a cost to agree on
+        if game == "rbp":
+            r = dag.max_in_degree + 1 + draw(st.integers(min_value=0, max_value=2))
+            return greedy_rbp_schedule(dag, r, variant=variant)
+        return topological_prbp_schedule(
+            dag, draw(st.integers(min_value=2, max_value=4)), variant=variant
+        )
+    r = draw(st.sampled_from([1, 2, 3, dag.n]))
+    game_state = (RBPGame if game == "rbp" else PRBPGame)(dag, r, variant=variant)
+    for _ in range(draw(st.integers(min_value=0, max_value=50))):
+        legal = game_state.legal_moves(include_useless=True)
+        if not legal:
+            break
+        game_state.apply(legal[draw(st.integers(min_value=0, max_value=len(legal) - 1))])
+    assert game_state.history is not None
+    schedule_cls = RBPSchedule if game == "rbp" else PRBPSchedule
+    return schedule_cls(dag, r, list(game_state.history), variant=variant)
+
+
+def _replay_rows(ir, rows):
+    columns = [list(c) for c in zip(*rows)] if rows else [[], [], []]
+    return sir.replay(sir.ir_from_arrays(ir.game, ir.dag, ir.r, ir.variant, *columns))
+
+
+@given(legal_case(), st.data())
+def test_resumed_replay_matches_full_replay(schedule, data):
+    ir = sir.from_schedule(schedule)
+    rows = sir._ir_rows(ir)
+    k = data.draw(st.integers(min_value=0, max_value=len(rows)), label="k")
+    suffixes = [rows[k:]]
+    if k < len(rows):
+        # dropping one suffix row usually makes the rest illegal
+        drop = data.draw(st.integers(min_value=k, max_value=len(rows) - 1), label="drop")
+        suffixes.append(rows[k:drop] + rows[drop + 1 :])
+    for suffix in suffixes:
+        start = sir.start_state(ir.dag, ir.game)
+        assert sir.advance(ir.dag, ir.r, ir.variant, ir.game, rows[:k], start) is None
+        full = _replay_rows(ir, rows[:k] + suffix)
+        cost = sir.replay_io_cost(ir.dag, ir.r, ir.variant, ir.game, suffix, start)
+        assert cost == (full.io_cost if full.ok else None)
+        assert (start.io, start.peak) == (full.io_cost, full.peak_red)
+        assert sir.replay_io_cost(
+            ir.dag, ir.r, ir.variant, ir.game, rows[:k] + suffix
+        ) == cost
+
+
+# --------------------------------------------------------------------------- #
 # round-trips: schedule -> IR -> schedule -> IR is bit-identical
 # --------------------------------------------------------------------------- #
 
