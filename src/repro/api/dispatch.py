@@ -127,11 +127,12 @@ def _apply_refinement(result: SolveResult, **options: object) -> SolveResult:
     Cost-monotone by construction — the refined schedule replaces the
     original only when it is strictly cheaper; either way the trajectory is
     recorded on ``solve_stats``.  The input was already replayed by the
-    engine in :func:`_run`, and :func:`refine_schedule` validates it again
-    before searching; a refined schedule's stats come from the replay
-    kernel (:func:`~repro.core.schedule_ir.kernel_stats`, pinned to the
-    engines by the differential harness), so the solve replays through the
-    engine once.  Skipped entirely when the result is
+    engine in :func:`_run`, so its verified cost is handed to
+    :func:`refine_schedule` instead of a second replay; a refined schedule's
+    stats come from the replay kernel
+    (:func:`~repro.core.schedule_ir.kernel_stats`, pinned to the engines by
+    the differential harness), so the solve replays through the engine
+    once.  Skipped entirely when the result is
     already provably optimal, when ``refine=False`` is passed, or — unless a
     refinement knob was given explicitly — on DAGs above
     :data:`GREEDY_COMPARISON_NODE_LIMIT` nodes, where the replay-heavy
@@ -155,6 +156,7 @@ def _apply_refinement(result: SolveResult, **options: object) -> SolveResult:
         seed=seed,
         origin=result.solver,
         on_improve=on_progress if callable(on_progress) else None,
+        verified_cost=result.stats.io_cost,
     )
     extra = time.perf_counter() - start
 

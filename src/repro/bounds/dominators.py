@@ -17,11 +17,15 @@ Besides the predicate checks used by the partition verifiers, this module
 computes the *minimum* dominator size exactly via a unit-vertex-capacity
 max-flow (Menger's theorem), which is what the exact ``MIN_part`` /
 ``MIN_dom`` / ``MIN_edge`` searches in :mod:`repro.bounds.minpart` need.
+The flow is a plain augmenting-path routine over node sets held as int
+bitmasks (:func:`_min_vertex_cut_to_targets`); it needs nothing beyond the
+standard library, and the exact searches call it on masks they build once
+per DAG.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Sequence, Set
+from typing import FrozenSet, Iterable, List, Sequence, Set
 
 from ..core.dag import ComputationalDAG, Edge
 
@@ -97,35 +101,71 @@ def edge_terminal_set(dag: ComputationalDAG, edges: Iterable[Edge]) -> FrozenSet
     )
 
 
-def _min_vertex_cut_to_targets(dag: ComputationalDAG, targets: Sequence[int]) -> int:
-    """Minimum number of nodes whose removal cuts every source → ``targets`` path.
+def _bitmask(indices: Iterable[int]) -> int:
+    """The int bitmask with bit ``i`` set for every index ``i`` in ``indices``."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
 
-    Nodes of ``targets`` (and sources) may themselves be part of the cut.
-    Computed by Menger's theorem: split every node ``v`` into ``v_in → v_out``
-    with capacity 1, keep original edges at infinite capacity, attach a super
-    source to every source's ``v_in`` and every target's ``v_out`` to a super
-    sink, and take the max flow.
+
+def _successor_masks(dag: ComputationalDAG) -> List[int]:
+    """``masks[v]``: the out-neighbours of ``v`` as a bitmask."""
+    return [_bitmask(dag.successors(v)) for v in dag.nodes()]
+
+
+def _min_vertex_cut_to_targets(n: int, sources: int, succ: Sequence[int], targets: int) -> int:
+    """Minimum number of nodes whose removal cuts every ``sources`` → ``targets`` path.
+
+    Node sets are bitmasks over ``0 .. n-1``; ``succ[v]`` holds the
+    out-neighbours of ``v``.  Nodes of ``targets`` (and sources) may
+    themselves be part of the cut.  Computed by Menger's theorem as the
+    maximum number of node-disjoint source → target paths: every node ``v``
+    is split into ``v_in`` (index ``v``) → ``v_out`` (index ``n + v``), a
+    super source ``2n`` feeds every source's ``v_in`` and every target's
+    ``v_out`` feeds a super sink ``2n + 1``.  Each split node passes at most
+    one unit, so every arc of this graph carries at most one unit as well,
+    and unit capacities on all arcs give the same maximum flow.  The
+    residual graph is one successor bitmask per split node; each
+    augmenting path found by graph search adds one unit, so at most
+    ``popcount(targets)`` augmentations run.
     """
-    target_set = set(targets)
-    if not target_set:
+    limit = min(targets.bit_count(), sources.bit_count())
+    if not limit:
         return 0
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    inf = float("inf")
-    s_node, t_node = "S", "T"
-    for v in dag.nodes():
-        graph.add_edge(("in", v), ("out", v), capacity=1)
-    for u, v in dag.edges:
-        graph.add_edge(("out", u), ("in", v), capacity=inf)
-    for s in dag.sources:
-        graph.add_edge(s_node, ("in", s), capacity=inf)
-    for t in target_set:
-        graph.add_edge(("out", t), t_node, capacity=inf)
-    if s_node not in graph or t_node not in graph:
-        return 0
-    value, _ = nx.maximum_flow(graph, s_node, t_node)
-    return int(value)
+    source, sink = 2 * n, 2 * n + 1
+    sink_bit = 1 << sink
+    residual = [1 << (n + v) for v in range(n)]
+    residual += [succ[v] | (sink_bit if targets >> v & 1 else 0) for v in range(n)]
+    residual += [sources, 0]
+    parent = [0] * (2 * n + 2)
+    flow = 0
+    while flow < limit:
+        seen = 1 << source
+        stack = [source]
+        while stack:
+            x = stack.pop()
+            fresh = residual[x] & ~seen
+            if fresh & sink_bit:
+                parent[sink] = x
+                break
+            seen |= fresh
+            while fresh:
+                low = fresh & -fresh
+                y = low.bit_length() - 1
+                fresh ^= low
+                parent[y] = x
+                stack.append(y)
+        else:
+            break  # no augmenting path left
+        y = sink
+        while y != source:
+            x = parent[y]
+            residual[x] &= ~(1 << y)
+            residual[y] |= 1 << x
+            y = x
+        flow += 1
+    return flow
 
 
 def minimum_dominator_size(dag: ComputationalDAG, targets: Iterable[int]) -> int:
@@ -135,7 +175,9 @@ def minimum_dominator_size(dag: ComputationalDAG, targets: Iterable[int]) -> int
     without isolated nodes, because following in-edges from any node reaches
     a source), so the minimum is finite and at most ``len(targets)``.
     """
-    return _min_vertex_cut_to_targets(dag, list(set(targets)))
+    return _min_vertex_cut_to_targets(
+        dag.n, _bitmask(dag.sources), _successor_masks(dag), _bitmask(targets)
+    )
 
 
 def minimum_edge_dominator_size(dag: ComputationalDAG, edges: Iterable[Edge]) -> int:

@@ -10,7 +10,9 @@ complements them with two generic tools:
   — condition (i) of the definitions forces the prefix unions of any valid
   partition to be predecessor-closed sets (*downsets*), so the minimum number
   of classes is a shortest path in the lattice of downsets, which we search
-  with a breadth-first scan and a monotone dominator-size prune;
+  with a breadth-first scan and a monotone dominator-size prune.  Downsets
+  and classes are int bitmasks, and each class's verdict is computed once
+  per search (the same classes recur under many downsets);
 * **greedy construction** (:func:`greedy_spartition`, ...) — a valid
   partition built by scanning a topological order and closing the current
   class as soon as the next node would violate a condition.  Greedy results
@@ -21,11 +23,14 @@ complements them with two generic tools:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.dag import ComputationalDAG, Edge
 from ..core.exceptions import SolverError
 from .dominators import (
+    _bitmask,
+    _min_vertex_cut_to_targets,
+    _successor_masks,
     edge_terminal_set,
     minimum_dominator_size,
     minimum_edge_dominator_size,
@@ -49,18 +54,22 @@ EXACT_SEARCH_NODE_LIMIT = 16
 
 def _min_classes_over_downsets(
     n_items: int,
-    closure_preds: Sequence[Sequence[int]],
-    class_is_valid,
+    closure_preds: Sequence[int],
+    class_is_valid: Callable[[int], Tuple[bool, bool]],
     max_items: int,
     item_order: Optional[Sequence[int]] = None,
 ) -> int:
     """Shortest chain of downsets ``∅ = I_0 ⊂ I_1 ⊂ ... ⊂ I_k = all`` with valid increments.
 
-    ``closure_preds[i]`` lists the items that must already be covered before
-    item ``i`` may be added (predecessor closure).  ``class_is_valid(W)``
-    returns a pair ``(valid, prunable)``; ``prunable=True`` asserts that no
-    superset of ``W`` can be valid (sound for the monotone dominator-size
-    condition, never asserted for the non-monotone terminal condition).
+    Item sets are int bitmasks over ``0 .. n_items-1``.  ``closure_preds[i]``
+    is the mask of items that must already be covered before item ``i`` may
+    be added (predecessor closure).  ``class_is_valid(W)`` returns a pair
+    ``(valid, prunable)`` for a class mask ``W``; ``prunable=True`` asserts
+    that no superset of ``W`` can be valid (sound for the monotone
+    dominator-size condition, never asserted for the non-monotone terminal
+    condition).  A class's verdict depends on the class alone, not on the
+    downset it extends, so it is computed once per class mask: the same
+    classes recur under many downsets.
 
     ``item_order`` must list the items in a prerequisite-respecting order
     (prerequisites before dependents).  The class-enumeration DFS walks the
@@ -76,49 +85,81 @@ def _min_classes_over_downsets(
     order = list(item_order) if item_order is not None else list(range(n_items))
     if sorted(order) != list(range(n_items)):
         raise ValueError("item_order must be a permutation of the items")
-    full = frozenset(range(n_items))
-    dist: Dict[FrozenSet[int], int] = {frozenset(): 0}
-    queue = deque([frozenset()])
+    full = (1 << n_items) - 1
+    verdicts: Dict[int, Tuple[bool, bool]] = {}
+    dist: Dict[int, int] = {0: 0}
+    queue = deque([0])
     while queue:
         ideal = queue.popleft()
         d = dist[ideal]
         if ideal == full:
             return d
-        remaining = [i for i in order if i not in ideal]
+        remaining = [i for i in order if not ideal >> i & 1]
 
-        found_classes: List[FrozenSet[int]] = []
+        found_classes: List[int] = []
 
-        def extend(current: Set[int], start_idx: int) -> None:
+        def extend(current: int, start_idx: int) -> None:
             if current:
-                valid, prunable = class_is_valid(frozenset(current))
+                verdict = verdicts.get(current)
+                if verdict is None:
+                    verdict = verdicts[current] = class_is_valid(current)
+                valid, prunable = verdict
                 if not valid and prunable:
                     return
                 if valid:
-                    found_classes.append(frozenset(current))
+                    found_classes.append(current)
+            covered = ideal | current
             for pos in range(start_idx, len(remaining)):
                 item = remaining[pos]
-                if all((p in ideal or p in current) for p in closure_preds[item]):
-                    current.add(item)
-                    extend(current, pos + 1)
-                    current.remove(item)
+                if not closure_preds[item] & ~covered:
+                    extend(current | 1 << item, pos + 1)
 
-        extend(set(), 0)
+        extend(0, 0)
         for cls in found_classes:
-            new_ideal = frozenset(ideal | cls)
+            new_ideal = ideal | cls
             if new_ideal not in dist:
                 dist[new_ideal] = d + 1
                 queue.append(new_ideal)
     raise SolverError("no valid partition exists (this should be impossible for S >= 1)")
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Yield the indices of the set bits of ``mask`` in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _node_class_checks(
+    dag: ComputationalDAG, s: int
+) -> Tuple[List[int], Callable[[int], bool], Callable[[int], bool]]:
+    """Per-DAG masks and the two class conditions of Definitions 5.1/5.2 on node masks.
+
+    Returns ``(preds, dominated, terminal_ok)``: predecessor masks, and
+    predicates telling whether a class mask has a dominator of size at most
+    ``s`` and a terminal set of at most ``s`` nodes.
+    """
+    n, sources, succ = dag.n, _bitmask(dag.sources), _successor_masks(dag)
+    preds = [_bitmask(dag.predecessors(v)) for v in dag.nodes()]
+
+    def dominated(cls: int) -> bool:
+        return _min_vertex_cut_to_targets(n, sources, succ, cls) <= s
+
+    def terminal_ok(cls: int) -> bool:
+        return sum(1 for v in _bits(cls) if not succ[v] & cls) <= s
+
+    return preds, dominated, terminal_ok
+
+
 def min_dominator_partition_classes(
     dag: ComputationalDAG, s: int, max_nodes: int = EXACT_SEARCH_NODE_LIMIT
 ) -> int:
     """Exact ``MIN_dom(S)``: the minimum number of classes of any S-dominator partition."""
-    preds = [list(dag.predecessors(v)) for v in dag.nodes()]
+    preds, dominated, _ = _node_class_checks(dag, s)
 
-    def valid(cls: FrozenSet[int]) -> Tuple[bool, bool]:
-        ok = minimum_dominator_size(dag, cls) <= s
+    def valid(cls: int) -> Tuple[bool, bool]:
+        ok = dominated(cls)
         # dominator size is monotone in the class, so an invalid class can
         # never become valid by adding more nodes -> prunable
         return ok, not ok
@@ -132,15 +173,13 @@ def min_spartition_classes(
     dag: ComputationalDAG, s: int, max_nodes: int = EXACT_SEARCH_NODE_LIMIT
 ) -> int:
     """Exact ``MIN_part(S)``: the minimum number of classes of any S-partition."""
-    preds = [list(dag.predecessors(v)) for v in dag.nodes()]
+    preds, dominated, terminal_ok = _node_class_checks(dag, s)
 
-    def valid(cls: FrozenSet[int]) -> Tuple[bool, bool]:
-        dom_ok = minimum_dominator_size(dag, cls) <= s
-        if not dom_ok:
+    def valid(cls: int) -> Tuple[bool, bool]:
+        if not dominated(cls):
             return False, True  # prunable: dominators only grow
-        term_ok = len(terminal_set(dag, cls)) <= s
         # terminal sets are not monotone, so a terminal violation must not prune
-        return term_ok, False
+        return terminal_ok(cls), False
 
     return _min_classes_over_downsets(
         dag.n, preds, valid, max_nodes, item_order=dag.topological_order
@@ -151,18 +190,22 @@ def min_edge_partition_classes(
     dag: ComputationalDAG, s: int, max_edges: int = EXACT_SEARCH_NODE_LIMIT
 ) -> int:
     """Exact ``MIN_edge(S)``: the minimum number of classes of any S-edge partition."""
+    n, sources, succ = dag.n, _bitmask(dag.sources), _successor_masks(dag)
     # prerequisite of edge (u, v): every in-edge of u
-    prereqs: List[List[int]] = []
-    for (u, v) in dag.edges:
-        prereqs.append([dag.edge_id(p, u) for p in dag.predecessors(u)])
+    prereqs = [_bitmask(dag.edge_id(p, u) for p in dag.predecessors(u)) for u, _ in dag.edges]
+    tails = [1 << u for u, _ in dag.edges]
+    heads = [1 << v for _, v in dag.edges]
 
-    def valid(cls: FrozenSet[int]) -> Tuple[bool, bool]:
-        edges = [dag.edges[e] for e in cls]
-        dom_ok = minimum_edge_dominator_size(dag, edges) <= s
-        if not dom_ok:
+    def valid(cls: int) -> Tuple[bool, bool]:
+        start = end = 0
+        for e in _bits(cls):
+            start |= tails[e]
+            end |= heads[e]
+        # an edge-dominator dominates Start(E0) (Definition 6.1)
+        if _min_vertex_cut_to_targets(n, sources, succ, start) > s:
             return False, True
-        term_ok = len(edge_terminal_set(dag, edges)) <= s
-        return term_ok, False
+        # edge-terminal set: heads of E0 with no out-edge in E0 (Definition 6.2)
+        return (end & ~start).bit_count() <= s, False
 
     # order the edge items so that prerequisites (in-edges of the tail) come first
     pos = dag.topological_position()

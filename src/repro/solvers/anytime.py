@@ -541,14 +541,16 @@ def refine_schedule(
     seed: int = 0,
     origin: str = "input",
     on_improve: Optional[Callable[[int, float], None]] = None,
+    verified_cost: Optional[int] = None,
 ) -> Tuple[Schedule, RefinementTrajectory]:
     """Refine a legal schedule under a step and/or wall-clock budget.
 
     Parameters
     ----------
     schedule:
-        A *valid* :class:`RBPSchedule` or :class:`PRBPSchedule`; it is
-        replayed once up front and an illegal input raises immediately.
+        A *valid* :class:`RBPSchedule` or :class:`PRBPSchedule`; unless
+        ``verified_cost`` is given it is replayed once up front through the
+        engine and an illegal input raises immediately.
     steps:
         Mutation-attempt budget.  ``None`` means
         :data:`DEFAULT_REFINE_STEPS`, unless a wall-clock budget is given
@@ -568,6 +570,11 @@ def refine_schedule(
         starts, then on every *accepted* mutation (costs are strictly
         decreasing after the first call).  The hook does not influence the
         search; an exception it raises propagates to the caller.
+    verified_cost:
+        The input's I/O cost as an engine replay already established it
+        (the solve pipeline replays every solver's schedule before
+        refining it).  Given, the up-front replay is skipped and this cost
+        is trusted; the caller vouches that the schedule is legal.
 
     Returns
     -------
@@ -580,7 +587,9 @@ def refine_schedule(
     game = _game_of(schedule)
     dag, r, variant = schedule.dag, schedule.r, schedule.variant
 
-    initial_cost = _replay_cost(dag, r, schedule.moves, variant, game)
+    initial_cost = verified_cost
+    if initial_cost is None:
+        initial_cost = _replay_cost(dag, r, schedule.moves, variant, game)
     if initial_cost is None:
         raise SolverError(
             "refine_schedule() requires a legal, complete input schedule; "

@@ -106,6 +106,10 @@ DEFAULT_MAX_STATES = 2_000_000
 #: Exact node-partition root bounds are only computed below this node count —
 #: the downset-lattice search behind them is itself exponential, and on larger
 #: or capacity-rich instances its cost would dwarf the A* run it speeds up.
+#: Neither limit pays for a raise: on perfbench's ``exact`` workload (seed 1,
+#: traced, 2-CPU x86 container) a node limit of 12 left the A* state count at
+#: 175,565 while the root-bound time grew from 0.12 s to 0.30 s (0.41 s with
+#: an edge limit of 16 as well).
 ROOT_BOUND_NODE_LIMIT = 9
 
 #: Same guard for the PRBP S-edge partition bound, in edges.
@@ -188,9 +192,8 @@ def _compute_root_lower_bound(
             lb = max(lb, prbp_dominator_lower_bound_exact(dag, r))
             if dag.m <= ROOT_BOUND_EDGE_LIMIT:
                 lb = max(lb, prbp_edge_lower_bound_exact(dag, r))
-    except (SolverError, ImportError):
-        # the partition machinery refused the instance, or its optional
-        # networkx dependency is absent: the trivial cost stands
+    except SolverError:
+        # the partition machinery refused the instance: the trivial cost stands
         pass
     return lb
 

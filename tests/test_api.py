@@ -35,7 +35,10 @@ from repro.dags import (
     random_layered_dag,
     zipper_gadget,
 )
-from repro.solvers.exhaustive import root_lower_bound_cache_clear
+from repro.bounds.hongkung import rbp_lower_bound_exact
+from repro.bounds.prbp_bounds import prbp_dominator_lower_bound_exact, prbp_edge_lower_bound_exact
+from repro.solvers import anytime
+from repro.solvers.exhaustive import root_lower_bound, root_lower_bound_cache_clear
 from repro.solvers.greedy import topological_prbp_schedule
 
 
@@ -306,16 +309,52 @@ class TestSolveBoundary:
         solve(PebblingProblem(dag, r=r, game=game), solver=solver)
         assert len(constructed) == 1, constructed
 
-    def test_numpy_only_solve_uses_the_trivial_root_bound(self, monkeypatch):
+    def test_refinement_inside_solve_trusts_the_engine_verified_cost(self, monkeypatch):
+        calls = []
+        original = anytime._replay_cost
+
+        def counting_replay_cost(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(anytime, "_replay_cost", counting_replay_cost)
+        dag = random_layered_dag((6, 6, 6, 6), 0.3, max_in_degree=2, seed=0)
+        result = solve(PebblingProblem(dag, r=4, game="prbp"))
+        assert result.solve_stats.refinement is not None
+        assert calls == []  # _run's replay already verified the input
+        # a direct caller still gets the engine check of its input
+        anytime.refine_schedule(result.schedule, steps=4)
+        assert len(calls) == 1
+
+    def test_numpy_only_solve_computes_the_exact_root_bounds(self, monkeypatch):
         problems = [PebblingProblem(kary_tree_dag(2, 2), r=3, game=g) for g in ("rbp", "prbp")]
-        root_lower_bound_cache_clear()
-        with_networkx = [solve(p).cost for p in problems]
-        root_lower_bound_cache_clear()
+        tree = kary_tree_dag(2, 3)
+
+        def costs_and_bounds():
+            root_lower_bound_cache_clear()
+            return (
+                [solve(p).cost for p in problems],
+                [root_lower_bound(p.dag, p.r, p.game, p.variant) for p in problems],
+                [
+                    (
+                        rbp_lower_bound_exact(tree, r),
+                        prbp_dominator_lower_bound_exact(tree, r),
+                        prbp_edge_lower_bound_exact(tree, r),
+                    )
+                    for r in (1, 2)
+                ],
+            )
+
+        default = costs_and_bounds()
         monkeypatch.setitem(sys.modules, "networkx", None)  # import networkx now raises
         try:
-            assert [solve(p).cost for p in problems] == with_networkx
+            blocked = costs_and_bounds()
         finally:
             root_lower_bound_cache_clear()
+        assert blocked == default
+        # the partition bounds are really computed (MIN_part(2) = 5 on the
+        # depth-3 binary tree), not replaced by a fallback
+        assert blocked[1:] == ([5, 5], [(4, 4, 4), (4, 4, 2)])
 
 
 class TestBackCompat:

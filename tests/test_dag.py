@@ -131,7 +131,10 @@ class TestStructure:
 
 
 class TestNetworkxInterop:
+    """The only networkx users in the package: the optional ``graph`` extra."""
+
     def test_roundtrip(self):
+        pytest.importorskip("networkx")
         dag = diamond()
         g = dag.to_networkx()
         assert g.number_of_nodes() == 4
@@ -140,7 +143,7 @@ class TestNetworkxInterop:
         assert back == dag
 
     def test_from_networkx_relabels_non_integer_nodes(self):
-        import networkx as nx
+        nx = pytest.importorskip("networkx")
 
         g = nx.DiGraph()
         g.add_edge("a", "b")
