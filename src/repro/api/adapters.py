@@ -13,20 +13,20 @@ with every solution method the library ships:
   :class:`~repro.core.dag.DAGFamily` tag and to the capacity regime its
   proof covers.
 
-Family adapters rebuild the layout object from the tag through the single
-family table :data:`repro.dags.FAMILY_INSTANCE_BUILDERS` (the same table
-:func:`repro.api.bounds.best_lower_bound` authenticates tags with) and verify
-it reproduces the problem's DAG, so a hand-built DAG that merely *claims* a
-family can never be answered with a schedule for a different graph.  The
-adapters return schedules unreplayed: :func:`repro.api.solve` replays each
-one once and raises on an illegal one.
+Family adapters get the layout object from
+:func:`repro.api.bounds.authenticated_instance`, the one place a tag is
+checked (:func:`repro.api.bounds.best_lower_bound` uses it too): it rebuilds
+the instance through :data:`repro.dags.FAMILY_INSTANCE_BUILDERS`, memoised
+per ``(family, params)``, and verifies it reproduces the problem's DAG, so a
+hand-built DAG that merely *claims* a family can never be answered with a
+schedule for a different graph.  The adapters return schedules unreplayed:
+:func:`repro.api.solve` replays each one once and raises on an illegal one.
 """
 
 from __future__ import annotations
 
 from ..core.exceptions import IllegalMoveError, SolverError
 from ..core.variants import ONE_SHOT
-from ..dags import FAMILY_INSTANCE_BUILDERS
 from ..solvers.anytime import (
     BEAM_NODE_LIMIT,
     beam_construct,
@@ -41,6 +41,7 @@ from ..solvers.exhaustive import (
 )
 from ..solvers.greedy import greedy_rbp_schedule, topological_prbp_schedule
 from ..solvers import structured
+from .bounds import authenticated_instance
 from .problem import PebblingProblem
 from .registry import list_solvers, register_solver
 from .result import Schedule
@@ -191,11 +192,9 @@ def _instance(problem: PebblingProblem, family: str):
     """Regenerate the layout instance of the problem's ``family`` tag, checked.
 
     Refuses a problem tagged with another family (or none) or posed in a
-    non-one-shot variant.  Guards against forged or malformed tags twice: a
-    tag whose parameters the generator rejects raises a :class:`SolverError`
-    rather than leaking the generator's ``ValueError``/``TypeError``, and a
-    tag that regenerates a *different* graph than the problem's DAG is
-    refused outright.
+    non-one-shot variant; :func:`authenticated_instance` then refuses a tag
+    whose parameters the generator rejects or that regenerates a *different*
+    graph than the problem's DAG, with a :class:`SolverError`.
     """
     fam = problem.family
     if fam is None or fam.name != family:
@@ -208,20 +207,7 @@ def _instance(problem: PebblingProblem, family: str):
             "the structured strategies are stated for the one-shot variant; "
             f"got {problem.variant.describe()}"
         )
-    builder = FAMILY_INSTANCE_BUILDERS[family]
-    try:
-        inst = builder(**fam.as_dict())
-    except Exception as exc:
-        raise SolverError(
-            f"the family tag {fam} is malformed — "
-            f"{builder.__name__} rejected its parameters: {exc}"
-        ) from exc
-    if inst.dag != problem.dag:
-        raise SolverError(
-            f"the family tag {fam} does not reproduce the problem's DAG "
-            f"(n={problem.dag.n}, m={problem.dag.m}); was the tag copied onto a different graph?"
-        )
-    return inst
+    return authenticated_instance(problem)
 
 
 @register_solver(

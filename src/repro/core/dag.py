@@ -427,7 +427,11 @@ class ComputationalDAG:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ComputationalDAG):
             return NotImplemented
-        return self._n == other._n and set(self._edges) == set(other._edges)
+        # same generator, same edge order: the tuple compare settles it
+        # without building two edge sets
+        return self._n == other._n and (
+            self._edges == other._edges or set(self._edges) == set(other._edges)
+        )
 
     def __hash__(self) -> int:
         return hash((self._n, frozenset(self._edges)))

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from .metrics import MetricsRegistry
+
 __all__ = [
     "SolveTelemetry",
     "TelemetryLog",
@@ -70,14 +72,26 @@ class SolveTelemetry:
 
 
 class TelemetryLog:
-    """Optional JSONL file sink for solve records; ``dropped_writes`` counts lost ones."""
+    """Optional JSONL file sink for solve records.
+
+    Lost records are counted in the log's own registry (``metrics``) as
+    ``repro_telemetry_dropped_writes_total``; ``dropped_writes`` reads it.
+    """
 
     def __init__(self, sink: Optional[Union[str, Path]] = None) -> None:
         self._lock = threading.Lock()
         self._sink_path: Optional[Path] = Path(sink) if sink else None
         self._sink_handle: Optional[Any] = None
         self._sink_failed = False
-        self.dropped_writes = 0
+        self.metrics = MetricsRegistry()
+        self._dropped = self.metrics.counter(
+            "repro_telemetry_dropped_writes_total",
+            "solve telemetry records lost before reaching the sink",
+        )
+
+    @property
+    def dropped_writes(self) -> int:
+        return int(self._dropped.value())
 
     @property
     def sink_path(self) -> Optional[Path]:
@@ -103,14 +117,13 @@ class TelemetryLog:
                     self._sink_handle.flush()
                 except OSError:
                     self._sink_failed = True
-                    self.dropped_writes += 1
+                    self._dropped.inc()
             elif self._sink_failed:
-                self.dropped_writes += 1
+                self._dropped.inc()
 
     def drop(self) -> None:
         """Count one record that was lost before it reached :meth:`record`."""
-        with self._lock:
-            self.dropped_writes += 1
+        self._dropped.inc()
 
     def close(self) -> None:
         with self._lock:

@@ -65,6 +65,7 @@ from ..core.schedule_ir import (
     OP_DELETE,
     OP_LOAD,
     OP_SAVE,
+    ReplayState,
     advance,
     decode_moves,
     encode_moves,
@@ -377,8 +378,11 @@ def _elision_pass(
 
     A removal leaves the rows before its first dropped index untouched, so
     each candidate is scored on its suffix alone, from a copy of a cursor
-    that replays the sweep's rows once, moving forward; a candidate that
-    starts behind the cursor (the delete of a round trip) restarts it.
+    that replays the sweep's rows once, moving forward.  A round trip is
+    listed at its load, after candidates that lie inside it, so its delete
+    can start behind the cursor.  The list is fixed before any scoring, so
+    the cursor snapshots each such start as it passes it and the round trip
+    resumes from that snapshot instead of from row 0.
     """
     find = _rbp_elision_candidates if game == "rbp" else _prbp_elision_candidates
     attempted: Set[Tuple[Tuple[Row, int], ...]] = set()
@@ -389,18 +393,33 @@ def _elision_pass(
             rank = counts.get(row, 0)
             ranks.append(rank)
             counts[row] = rank + 1
-        cursor, at = start_state(dag, game), 0
-        improved = False
+        # sigs are unique within a sweep, so the untried list is fixed up front
+        untried = []
         for cand in find(dag, r, rows, variant):
             sig = tuple((rows[i], ranks[i]) for i in cand)
-            if sig in attempted:
-                continue
+            if sig not in attempted:
+                untried.append((cand, sig))
+        marks, reach = [], -1  # starts listed behind an earlier candidate's
+        for cand, _ in untried:
+            if cand[0] < reach:
+                marks.append(cand[0])
+            else:
+                reach = cand[0]
+        marks.sort()
+        snapshots: Dict[int, ReplayState] = {}
+        cursor, at, passed = start_state(dag, game), 0, 0  # marks[:passed] snapshotted
+        improved = False
+        for cand, sig in untried:
             if not budget.spend():
                 return rows, cost
             attempted.add(sig)
             first = cand[0]  # candidate indices are ascending
-            if first < at:
-                cursor, at = start_state(dag, game), 0
+            if first < at:  # a mark: its snapshot was taken when the cursor passed it
+                cursor, at = snapshots.pop(first), first
+            while passed < len(marks) and marks[passed] < first:
+                mark = marks[passed]
+                advance(dag, r, variant, game, rows[at:mark], cursor)
+                snapshots[mark], at, passed = cursor.copy(), mark, passed + 1
             advance(dag, r, variant, game, rows[at:first], cursor)
             at = first
             suffix: List[Row] = []

@@ -1,6 +1,7 @@
 """Tests for the repro.api facade: problem, registry, portfolio dispatch, results."""
 
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -35,6 +36,8 @@ from repro.dags import (
     random_layered_dag,
     zipper_gadget,
 )
+from repro.api import bounds
+from repro.api.bounds import authenticated_instance, authenticated_instance_cache_clear
 from repro.bounds.hongkung import rbp_lower_bound_exact
 from repro.bounds.prbp_bounds import prbp_dominator_lower_bound_exact, prbp_edge_lower_bound_exact
 from repro.solvers import anytime
@@ -280,6 +283,103 @@ class TestSolveResult:
         broken = replace(good, lower_bound=good.cost + 1, exact_solver=False)
         with pytest.raises(PebblingError, match="strictly below"):
             broken.optimal
+
+
+def _relabelled(dag):
+    """The same graph shape under reversed node ids, carrying ``dag``'s tag."""
+    last = dag.n - 1
+    edges = [(last - u, last - v) for u, v in dag.edges]
+    return ComputationalDAG(dag.n, edges, family=dag.family)
+
+
+def _memo_nodes():
+    return sum(inst.dag.n for inst in bounds._TAG_MEMO.values())
+
+
+class TestTagAuthentication:
+    """``authenticated_instance`` is the one tag check; its memo proves nothing on its own."""
+
+    def test_copied_tag_is_refused_by_the_named_solver_on_cold_and_warm_memo(self):
+        real = kary_tree_dag(2, 3)
+        copy = _relabelled(real)
+        assert copy != real and (copy.n, copy.m) == (real.n, real.m)
+        authenticated_instance_cache_clear()
+        with pytest.raises(SolverError, match="does not reproduce"):
+            solve(PebblingProblem(copy, r=3, game="prbp"), solver="tree")
+        assert solve(PebblingProblem(real, r=3, game="prbp"), solver="tree").solver == "tree"
+        assert any(inst.dag == real for inst in bounds._TAG_MEMO.values())  # warm
+        with pytest.raises(SolverError, match="does not reproduce"):
+            solve(PebblingProblem(copy, r=3, game="prbp"), solver="tree")
+
+    def test_copied_tag_gives_no_closed_form_bound_on_cold_and_warm_memo(self):
+        real = kary_tree_dag(2, 3)
+        copy = _relabelled(real)
+        authenticated_instance_cache_clear()
+        cold = solve(PebblingProblem(copy, r=3, game="prbp"), exact_node_limit=0)
+        assert cold.lower_bound_source == "trivial"
+        genuine = solve(PebblingProblem(real, r=3, game="prbp"), exact_node_limit=0)
+        assert genuine.lower_bound_source == "appA.2"
+        warm = solve(PebblingProblem(copy, r=3, game="prbp"), exact_node_limit=0)
+        assert warm.lower_bound_source == "trivial"
+        assert warm.lower_bound == copy.trivial_cost()
+
+    def test_unhashable_params_refuse_with_solver_error_not_type_error(self):
+        dag = kary_tree_dag(2, 3)
+        dag.family = DAGFamily("kary_tree", (("depth", 3), ("k", [2])))
+        authenticated_instance_cache_clear()
+        for _ in range(2):
+            with pytest.raises(SolverError, match="malformed"):
+                authenticated_instance(PebblingProblem(dag, r=3, game="prbp"))
+        result = solve(PebblingProblem(dag, r=3, game="prbp"), exact_node_limit=0)
+        assert result.lower_bound_source == "trivial"
+        assert not bounds._TAG_MEMO
+
+    def test_unhashable_params_that_rebuild_the_dag_are_accepted_unmemoised(self):
+        dag = attention_dag(2, 2)
+        dag.family = DAGFamily("attention", (("d", 2), ("include_softmax", []), ("m", 2)))
+        authenticated_instance_cache_clear()
+        assert authenticated_instance(PebblingProblem(dag, r=4, game="prbp")).dag == dag
+        assert not bounds._TAG_MEMO
+
+    def test_threaded_solves_match_serial_solves(self):
+        problems = [
+            PebblingProblem(dag, r, "prbp")
+            for dag, r in (
+                (kary_tree_dag(2, 4), 3),
+                (kary_tree_dag(3, 3), 4),
+                (matvec_dag(5), 8),
+                (fft_dag(32), 8),
+                (attention_dag(4, 3), 8),
+            )
+        ]
+        authenticated_instance_cache_clear()
+        serial = [solve(p, exact_node_limit=0) for p in problems]
+        authenticated_instance_cache_clear()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda p: solve(p, exact_node_limit=0), problems * 4))
+        for i, got in enumerate(threaded):
+            want = serial[i % len(problems)]
+            assert (got.solver, got.cost, got.lower_bound, got.lower_bound_source) == (
+                want.solver,
+                want.cost,
+                want.lower_bound,
+                want.lower_bound_source,
+            )
+            assert got.schedule.moves == want.schedule.moves
+
+    def test_memo_never_exceeds_its_node_cap(self, monkeypatch):
+        monkeypatch.setattr(bounds, "TAG_MEMO_MAX_NODES", 100)
+        authenticated_instance_cache_clear()
+        try:
+            for k, depth in ((2, 4), (2, 5), (3, 3), (2, 4), (2, 6), (4, 2), (2, 7)):
+                dag = kary_tree_dag(k, depth)
+                assert authenticated_instance(PebblingProblem(dag, r=k + 1, game="prbp")).dag == dag
+                assert _memo_nodes() <= 100
+            # the 255-node tree is larger than the cap and was not kept
+            assert all(inst.dag.n < 255 for inst in bounds._TAG_MEMO.values())
+            assert bounds._tag_memo_nodes == _memo_nodes()
+        finally:
+            authenticated_instance_cache_clear()
 
 
 class TestSolveBoundary:

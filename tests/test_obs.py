@@ -330,6 +330,22 @@ class TestTelemetry:
         finally:
             configure_telemetry()
 
+    def test_lost_records_are_a_registry_counter(self, tmp_path):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        log = configure_telemetry(sink=blocker / "t.jsonl")
+        try:
+            for _ in range(3):
+                solve(PebblingProblem(figure1_gadget(), r=4, game="prbp"))
+            family = parse_exposition(log.metrics.exposition())[
+                "repro_telemetry_dropped_writes_total"
+            ]
+            assert family["type"] == "counter"
+            assert family["samples"] == [({}, 3.0)]
+            assert log.dropped_writes == 3
+        finally:
+            configure_telemetry()
+
 
 class TestAutoPortfolioAttribution:
     def test_auto_wall_time_covers_all_attempts(self):
