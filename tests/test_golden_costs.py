@@ -34,7 +34,7 @@ from repro.dags.linalg import matvec_dag
 from repro.dags.random_dags import random_layered_dag
 from repro.dags.trees import kary_tree_dag, optimal_prbp_tree_cost, optimal_rbp_tree_cost
 from repro.solvers.anytime import refine_schedule
-from repro.solvers.greedy import topological_prbp_schedule
+from repro.solvers.greedy import greedy_rbp_schedule, topological_prbp_schedule
 
 #: (label, DAG factory, r, golden OPT_RBP, golden OPT_PRBP)
 GOLDEN = [
@@ -320,6 +320,26 @@ GREEDY_DIGESTS = [
 def test_greedy_prbp_rows_are_pinned(seed, r, digest):
     schedule = topological_prbp_schedule(_layered(seed), r)
     assert _rows_digest("prbp", schedule.moves) == digest
+
+
+#: (DAG seed, r, pinned rows digest) of the greedy RBP pebbling.  The DAGs
+#: have max in-degree 3, so r = 4 is the minimum; at r = 4 and 6 between a
+#: sixth and a third of the evictions choose among tied next uses, which the
+#: red set's iteration order breaks.
+GREEDY_RBP_DIGESTS = [
+    (0, 4, "397f6f90fdf60b1ef5ff11794dafb026f19208a19a22f9770177d4669bee1c5b"),
+    (0, 6, "285860c7323a6fa1651c1d300d8a91ba862f97c78f19e3c8e4765dfbe827801e"),
+    (1, 4, "10790d7ddb860cc5912b07eb99acefd4142db563a827c1e89e20d402ae797dcc"),
+    (1, 6, "0100e2a2ec8be47bc072f01034ccbca3ac3de44245b713ca0ade6957370bfda7"),
+]
+
+
+@pytest.mark.parametrize(
+    "seed, r, digest", GREEDY_RBP_DIGESTS, ids=[f"s{d[0]}-r{d[1]}" for d in GREEDY_RBP_DIGESTS]
+)
+def test_greedy_rbp_rows_are_pinned(seed, r, digest):
+    schedule = greedy_rbp_schedule(_layered(seed), r)
+    assert _rows_digest("rbp", schedule.moves) == digest
 
 
 def test_round_trip_behind_an_earlier_candidate_is_elided():
