@@ -75,7 +75,7 @@ from ..core.schedule_ir import (
 from ..core.strategy import PRBPSchedule, RBPSchedule
 from ..core.variants import GameVariant
 from ..obs.recorder import current_recorder
-from .greedy import greedy_rbp_schedule, topological_prbp_schedule
+from .greedy import greedy_rbp_rows, topological_prbp_rows
 
 __all__ = [
     "DEFAULT_REFINE_STEPS",
@@ -490,20 +490,20 @@ def _rebuild(
 ) -> Optional[Tuple[List[Row], int]]:
     """Greedy Belady pebbling along ``order``; None when the rebuild is infeasible.
 
-    Rebuilt schedules are legal by construction (they are produced through
-    the engine), so their cost is just the I/O move count — no extra replay.
+    The greedy row builders emit legal rows by construction (a differential
+    test pins them to engine-driven builders), so the cost is just the I/O
+    row count — no replay.
     """
     try:
         if game == "rbp":
-            schedule: Schedule = greedy_rbp_schedule(dag, r, topo_order=order, variant=variant)
+            rows = greedy_rbp_rows(dag, r, order, variant)
         else:
-            schedule = topological_prbp_schedule(dag, r, topo_order=order, variant=variant)
+            rows = topological_prbp_rows(dag, r, order, variant)
     except (PebblingError, ValueError):
         # SolverError (infeasible r), IllegalMoveError (variant forbids the
         # builder's delete moves), ValueError (non-topological order after a
         # clear-variant extraction): all mean "no candidate from this order".
         return None
-    rows = encode_moves(game, schedule.moves)
     return rows, _io_count_rows(rows)
 
 
