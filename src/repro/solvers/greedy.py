@@ -75,23 +75,20 @@ def _next_use_after(uses: List[int], pos: int) -> float:
     return float("inf")
 
 
-def _checked_order(dag: ComputationalDAG, topo_order: Optional[Sequence[int]]) -> List[int]:
-    """``topo_order`` (default: the DAG's own) as a list, or ``ValueError``."""
+def _order_positions(
+    dag: ComputationalDAG, topo_order: Optional[Sequence[int]]
+) -> Tuple[List[int], List[int]]:
+    """``(order, pos)`` with ``pos[v]`` the index of ``v``; ``ValueError`` unless topological."""
     order = list(topo_order) if topo_order is not None else list(dag.topological_order)
     if len(order) != dag.n or set(order) != set(range(dag.n)):
         raise ValueError("topo_order must be a permutation of all nodes")
-    return order
-
-
-def _positions(dag: ComputationalDAG, order: List[int]) -> List[int]:
-    """``pos[v]`` = index of ``v`` in ``order``; ``ValueError`` unless topological."""
     pos = [0] * dag.n
     for i, v in enumerate(order):
         pos[v] = i
     for u, v in dag.edges:
         if pos[u] >= pos[v]:
             raise ValueError("topo_order is not a topological order of the DAG")
-    return pos
+    return order, pos
 
 
 def topological_prbp_rows(
@@ -119,8 +116,7 @@ def topological_prbp_rows(
     """
     if r < 2 and dag.m > 0:
         raise SolverError(f"the topological PRBP strategy needs r >= 2, got r = {r}")
-    order = _checked_order(dag, topo_order)
-    pos_of = _positions(dag, order)
+    order, pos_of = _order_positions(dag, topo_order)
     # the checks PRBPGame makes before the first move
     if r < 1:
         raise ValueError(f"fast memory capacity must be >= 1, got {r}")
@@ -230,10 +226,8 @@ def topological_prbp_schedule(
     variant: GameVariant = ONE_SHOT,
 ) -> PRBPSchedule:
     """Greedy PRBP pebbling: :func:`topological_prbp_rows` as a schedule."""
-    rows = topological_prbp_rows(dag, r, topo_order, variant)
-    return PRBPSchedule(
-        dag, r, decode_moves("prbp", rows), variant=variant, description=_DESCRIPTION
-    )
+    moves = decode_moves("prbp", topological_prbp_rows(dag, r, topo_order, variant))
+    return PRBPSchedule(dag, r, moves, variant=variant, description=_DESCRIPTION)
 
 
 def greedy_rbp_rows(
@@ -251,8 +245,7 @@ def greedy_rbp_rows(
         raise SolverError(
             f"no valid RBP pebbling exists: r = {r} < max in-degree + 1 = {dag.max_in_degree + 1}"
         )
-    order = _checked_order(dag, topo_order)
-    pos_of = _positions(dag, order)
+    order, pos_of = _order_positions(dag, topo_order)
     dag.validate_no_isolated()  # the check RBPGame makes before the first move
 
     data = _dag_data(dag)
@@ -263,7 +256,8 @@ def greedy_rbp_rows(
 
     # Victims are picked by iterating ``red``, so its add/discard history is
     # that of RBPGame.red: a load or compute adds, a delete removes and, under
-    # no-deletion, so does a save.
+    # no-deletion, so does a save (there every eviction fails: it needs a
+    # delete).
     red: Set[int] = set()
     blue = bytearray(is_source)
     rows: List[MoveRow] = []
@@ -276,18 +270,16 @@ def greedy_rbp_rows(
             raise SolverError(
                 f"cannot free a fast-memory slot at step {pos}: all {r} red pebbles are protected"
             )
+        if not allow_delete:
+            raise IllegalMoveError(
+                "delete moves are forbidden in the no-deletion variant (Appendix B.4)"
+            )
         free_candidates = [w for w in candidates if blue[w]]
         pool = free_candidates if free_candidates else candidates
         victim = max(pool, key=lambda w: _next_use_after(uses[w], pos))
         if not blue[victim]:
             rows.append((OP_SAVE, victim, -1))
             blue[victim] = 1
-            if not allow_delete:
-                red.discard(victim)
-        if not allow_delete:
-            raise IllegalMoveError(
-                "delete moves are forbidden in the no-deletion variant (Appendix B.4)"
-            )
         rows.append((OP_DELETE, victim, -1))
         red.remove(victim)
 
@@ -330,5 +322,5 @@ def greedy_rbp_schedule(
 
     Requires ``r >= Δ_in + 1`` (otherwise no RBP pebbling exists at all).
     """
-    rows = greedy_rbp_rows(dag, r, topo_order, variant)
-    return RBPSchedule(dag, r, decode_moves("rbp", rows), variant=variant, description=_DESCRIPTION)
+    moves = decode_moves("rbp", greedy_rbp_rows(dag, r, topo_order, variant))
+    return RBPSchedule(dag, r, moves, variant=variant, description=_DESCRIPTION)
