@@ -84,11 +84,15 @@ class TestRowsMatchTheEngineOracle:
             _assert_same(game, dag, r, order, variant)
 
     @pytest.mark.parametrize("game", ["rbp", "prbp"])
-    @pytest.mark.parametrize("variant", VARIANTS, ids=["one-shot", "recompute", "sliding", "no-delete"])
+    @pytest.mark.parametrize(
+        "variant", VARIANTS, ids=["one-shot", "recompute", "sliding", "no-delete"]
+    )
     def test_every_r_on_a_fixed_dag(self, game, variant):
         dag = random_layered_dag((6, 8, 8, 6), 0.35, max_in_degree=3, seed=7)
         floor = dag.max_in_degree + 1 if game == "rbp" else 2
-        outcomes = {_assert_same(game, dag, r, None, variant)[0] for r in range(floor - 1, dag.n + 1)}
+        outcomes = {
+            _assert_same(game, dag, r, None, variant)[0] for r in range(floor - 1, dag.n + 1)
+        }
         # PRBP has no sliding rule: that pair fails at every r
         assert ("rows" in outcomes) == (game == "rbp" or not variant.allow_sliding)
 
