@@ -32,19 +32,18 @@ Moves are grouped into *macro moves* in a cost-preserving normal form:
   saves of values that are never needed again are never part of a minimal
   strategy and are not generated.
 
-The search is A* with an admissible (not necessarily consistent) heuristic
-combining two ingredients:
-
-* the per-state counting term "number of unsaved sinks plus number of
-  sources that still have to be re-loaded" — both count distinct,
-  unavoidable future I/O operations from the current configuration;
-* a *root lower bound* computed once per search from :mod:`repro.bounds`
-  (the trivial cost always; on small one-shot instances also the exact
-  Hong–Kung S-partition bound for RBP and the Theorem 6.5/6.7 S-edge /
-  S-dominator partition bounds for PRBP).  Any full schedule through a
-  state of cost ``g`` costs at least the root bound in total, so
-  ``max(h(state), bound - g)`` is admissible, which floors every f-value
-  at the bound.
+The search is A* with an admissible (not necessarily consistent) heuristic:
+the per-state counting term "number of unsaved sinks plus number of
+sources that still have to be re-loaded" — both count distinct,
+unavoidable future I/O operations from the current configuration.  Every
+f-value is floored at the trivial cost (sources + sinks,
+:func:`root_lower_bound`), but the heuristic already implies that floor:
+a source not yet loaded and a sink not yet saved are each counted by
+``h``, and each one already loaded or saved is counted in ``g``, so
+``g + h`` never falls below it.  The exact S-partition bounds of
+:mod:`repro.bounds` are asymptotic tools: on the small DAGs this search
+can afford they were never found above the trivial cost, so they are not
+consulted.
 
 States are re-opened when a cheaper path is found, so inconsistency only
 costs re-expansions, never optimality.  Two further prunes keep the
@@ -66,18 +65,10 @@ expansion count down:
 from __future__ import annotations
 
 import heapq
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import count
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..bounds.hongkung import rbp_lower_bound_exact
-from ..bounds.prbp_bounds import (
-    prbp_dominator_lower_bound_exact,
-    prbp_edge_lower_bound_exact,
-)
-from ..core.canonical import dag_digest
 from ..core.dag import ComputationalDAG
 from ..core.exceptions import SolverError
 from ..core.moves import MoveKind, PRBPMove, RBPMove
@@ -92,110 +83,28 @@ __all__ = [
     "optimal_prbp_schedule",
     "optimal_prbp_cost",
     "DEFAULT_MAX_STATES",
-    "ROOT_BOUND_NODE_LIMIT",
-    "ROOT_BOUND_EDGE_LIMIT",
     "SearchTelemetry",
     "last_search_telemetry",
     "root_lower_bound",
-    "root_lower_bound_cache_clear",
 ]
 
 #: Default cap on the number of distinct configurations the solvers may expand.
 DEFAULT_MAX_STATES = 2_000_000
 
-#: Exact node-partition root bounds are only computed below this node count —
-#: the downset-lattice search behind them is itself exponential, and on larger
-#: or capacity-rich instances its cost would dwarf the A* run it speeds up.
-#: Neither limit pays for a raise: on perfbench's ``exact`` workload (seed 1,
-#: traced, 2-CPU x86 container) a node limit of 12 left the A* state count at
-#: 175,565 while the root-bound time grew from 0.12 s to 0.30 s (0.41 s with
-#: an edge limit of 16 as well).
-ROOT_BOUND_NODE_LIMIT = 9
-
-#: Same guard for the PRBP S-edge partition bound, in edges.
-ROOT_BOUND_EDGE_LIMIT = 12
-
-
-#: Bound on the memoised root bounds below.  The cache stores only
-#: ``(digest, r, game, variant) -> int`` — never DAG objects — so even at
-#: capacity it holds a few hundred strings and ints, not hundreds of graphs.
-ROOT_BOUND_CACHE_SIZE = 512
-
-_root_bound_cache: "OrderedDict[Tuple[str, int, str, GameVariant], int]" = OrderedDict()
-_root_bound_lock = threading.Lock()
-
-
-def root_lower_bound_cache_clear() -> None:
-    """Drop every memoised root bound.
-
-    Exposed so long-running hosts (the solve daemon's cache-pressure path,
-    test isolation) can release the memo deterministically instead of
-    waiting for LRU turnover.
-    """
-    with _root_bound_lock:
-        _root_bound_cache.clear()
-
 
 def root_lower_bound(dag: ComputationalDAG, r: int, game: str, variant: GameVariant) -> int:
-    """A cheap lower bound on the total cost of any valid schedule.
+    """The floor of every f-value of the A* searches: the trivial cost.
 
-    Always includes the trivial cost (sources + sinks) when the DAG has no
-    isolated node; on small one-shot instances without the sliding rule it is
-    strengthened with the exact partition bounds of :mod:`repro.bounds`
-    (Hong–Kung for RBP, Theorems 6.5/6.7 for PRBP).  The partition searches
-    are skipped when ``2r >= n`` (a single class is always valid there, so
-    the bound degenerates to 0) and above the ``ROOT_BOUND_*`` size guards.
-
-    The result floors every f-value of the A* searches below; it is a bound
-    on *total* cost because I/O cost lower bounds remain valid when compute
-    steps add a non-negative ε on top.
-
-    Results are memoised under the DAG's *content digest*, not the DAG
-    object: a resident daemon solving an endless stream of distinct
-    problems must not pin full graphs in an ``lru_cache`` for the life of
-    the process (the old behaviour — up to 512 DAGs held by key identity).
-    The bound is a pure function of the digested content, so equal digests
-    cannot disagree.  Thread-safe: the service's thread-pool fallback
-    solves concurrently.
+    Every schedule loads each source and saves each sink at least once, so
+    ``dag.trivial_cost()`` bounds the total cost of any valid schedule in
+    every game and variant; an isolated node needs no I/O at all, so a DAG
+    holding one (besides a lone node) is floored at 0.  ``r``, ``game`` and
+    ``variant`` do not change the floor; they stay in the signature, which
+    perfbench's tracer wraps by name.
     """
-    key = (dag_digest(dag), r, game, variant)
-    with _root_bound_lock:
-        cached = _root_bound_cache.get(key)
-        if cached is not None:
-            _root_bound_cache.move_to_end(key)
-            return cached
-    value = _compute_root_lower_bound(dag, r, game, variant)
-    with _root_bound_lock:
-        _root_bound_cache[key] = value
-        _root_bound_cache.move_to_end(key)
-        while len(_root_bound_cache) > ROOT_BOUND_CACHE_SIZE:
-            _root_bound_cache.popitem(last=False)
-    return value
-
-
-def _compute_root_lower_bound(
-    dag: ComputationalDAG, r: int, game: str, variant: GameVariant
-) -> int:
     if dag.n > 1 and any(dag.is_source(v) and dag.is_sink(v) for v in dag.nodes()):
-        return 0  # an isolated node needs no I/O at all; stay conservative
-    lb = dag.trivial_cost()
-    if not variant.one_shot or variant.allow_sliding:
-        # The partition bounds are proven for the one-shot game without
-        # sliding (a sliding schedule is not a valid standard schedule, so
-        # OPT_sliding may undercut them); the trivial cost still holds.
-        return lb
-    try:
-        if game == "rbp":
-            if dag.n <= ROOT_BOUND_NODE_LIMIT and 2 * r < dag.n:
-                lb = max(lb, rbp_lower_bound_exact(dag, r))
-        elif dag.n <= ROOT_BOUND_NODE_LIMIT and 2 * r < dag.n:
-            lb = max(lb, prbp_dominator_lower_bound_exact(dag, r))
-            if dag.m <= ROOT_BOUND_EDGE_LIMIT:
-                lb = max(lb, prbp_edge_lower_bound_exact(dag, r))
-    except SolverError:
-        # the partition machinery refused the instance: the trivial cost stands
-        pass
-    return lb
+        return 0
+    return dag.trivial_cost()
 
 
 @dataclass(frozen=True)
@@ -635,9 +544,11 @@ def _astar(search, max_states: int):
     """Generic A* driver shared by the RBP and PRBP searches.
 
     Heap entries are ``(f, -g, tie, state)`` — among equal f-values the
-    deeper state pops first, which matters once the root bound floors a
-    whole plateau of f-values at the optimum.  Dominance pruning consults a
-    per-key transposition table of ``(mask, g)`` pairs of already-expanded
+    deeper state pops first.  The heuristic counts only a few unavoidable
+    loads and saves, so many states share the optimum's f-value; popping
+    the deeper ones first runs depth-first along that plateau towards a
+    goal instead of expanding it breadth-first.  Dominance pruning consults
+    a per-key transposition table of ``(mask, g)`` pairs of already-expanded
     states; a popped state whose mask is a subset of a recorded one at
     equal-or-lower g is skipped without expansion (and without counting
     against the state budget).

@@ -41,7 +41,7 @@ from repro.api.bounds import authenticated_instance, authenticated_instance_cach
 from repro.bounds.hongkung import rbp_lower_bound_exact
 from repro.bounds.prbp_bounds import prbp_dominator_lower_bound_exact, prbp_edge_lower_bound_exact
 from repro.solvers import anytime
-from repro.solvers.exhaustive import root_lower_bound, root_lower_bound_cache_clear
+from repro.solvers.exhaustive import root_lower_bound
 from repro.solvers.greedy import topological_prbp_schedule
 
 
@@ -431,7 +431,6 @@ class TestSolveBoundary:
         tree = kary_tree_dag(2, 3)
 
         def costs_and_bounds():
-            root_lower_bound_cache_clear()
             return (
                 [solve(p).cost for p in problems],
                 [root_lower_bound(p.dag, p.r, p.game, p.variant) for p in problems],
@@ -447,10 +446,7 @@ class TestSolveBoundary:
 
         default = costs_and_bounds()
         monkeypatch.setitem(sys.modules, "networkx", None)  # import networkx now raises
-        try:
-            blocked = costs_and_bounds()
-        finally:
-            root_lower_bound_cache_clear()
+        blocked = costs_and_bounds()
         assert blocked == default
         # the partition bounds are really computed (MIN_part(2) = 5 on the
         # depth-3 binary tree), not replaced by a fallback

@@ -1,23 +1,31 @@
 """Tests for the exact solvers, reproducing the paper's small-instance claims."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.core.dag import ComputationalDAG
 from repro.core.exceptions import SolverError
-from repro.core.variants import GameVariant, NO_DELETE, RECOMPUTE, SLIDING
+from repro.core.variants import ONE_SHOT, GameVariant, NO_DELETE, RECOMPUTE, SLIDING
 from repro.dags import (
     binary_tree_instance,
     chained_gadget_instance,
     figure1_instance,
     kary_tree_instance,
     pebble_collection_instance,
+    random_dag,
     random_layered_dag,
 )
 from repro.dags.trees import optimal_prbp_tree_cost, optimal_rbp_tree_cost
+from repro.obs.recorder import recording
 from repro.solvers.exhaustive import (
+    _astar,
+    _PRBPSearch,
+    _RBPSearch,
     optimal_prbp_cost,
     optimal_prbp_schedule,
     optimal_rbp_cost,
     optimal_rbp_schedule,
+    root_lower_bound,
 )
 
 
@@ -164,62 +172,92 @@ class TestBitHelpers:
             assert _popcount(x) == bin(x).count("1")
 
 
-class TestRootBoundMemo:
-    """The root-bound memo keys on content digests, never on DAG identity."""
+VARIANTS = [ONE_SHOT, RECOMPUTE, SLIDING, NO_DELETE]
 
-    def _default_variant(self):
-        from repro.core.variants import GameVariant
+#: Each search with every variant it accepts.
+SEARCHES = {
+    "rbp": (_RBPSearch, VARIANTS),
+    "prbp": (_PRBPSearch, [ONE_SHOT, NO_DELETE]),
+}
 
-        return GameVariant()
 
-    def test_cache_holds_scalars_keyed_by_digest_not_dags(self):
-        from repro.solvers import exhaustive
-        from repro.solvers.exhaustive import root_lower_bound, root_lower_bound_cache_clear
+def _min_r(dag, game, variant):
+    """The smallest ``r`` the search accepts."""
+    if game == "prbp":
+        return 2
+    return dag.max_in_degree + (0 if variant.allow_sliding else 1)
 
-        root_lower_bound_cache_clear()
-        dag = binary_tree_instance(3).dag
-        r = 2
-        variant = self._default_variant()
-        bound = root_lower_bound(dag, r, "rbp", variant)
-        assert bound >= 1
-        assert len(exhaustive._root_bound_cache) == 1
-        for key, value in exhaustive._root_bound_cache.items():
-            digest, key_r, game, key_variant = key
-            # nothing in the memo references the DAG object: a resident
-            # daemon must not pin graphs for the life of the process
-            assert isinstance(digest, str) and isinstance(value, int)
-            assert (key_r, game, key_variant) == (r, "rbp", variant)
-        root_lower_bound_cache_clear()
-        assert len(exhaustive._root_bound_cache) == 0
 
-    def test_structurally_equal_dags_share_one_entry(self):
-        from repro.solvers import exhaustive
-        from repro.solvers.exhaustive import root_lower_bound, root_lower_bound_cache_clear
+@st.composite
+def tiny_dags(draw):
+    """A random DAG or random layered DAG of 3–9 nodes."""
+    seed = draw(st.integers(min_value=0, max_value=50_000))
+    prob = draw(st.floats(min_value=0.1, max_value=0.6))
+    if draw(st.booleans()):
+        return random_dag(draw(st.integers(min_value=3, max_value=9)), prob, seed=seed)
+    layers = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=4))
+    while sum(layers) > 9:
+        layers.pop()
+    if len(layers) < 2:
+        layers = [2, 2]
+    return random_layered_dag(layers, prob, max_in_degree=3, seed=seed)
 
-        root_lower_bound_cache_clear()
-        dag_a = binary_tree_instance(3).dag
-        dag_b = binary_tree_instance(3).dag
-        r = 2
-        assert dag_a is not dag_b
-        variant = self._default_variant()
-        first = root_lower_bound(dag_a, r, "rbp", variant)
-        second = root_lower_bound(dag_b, r, "rbp", variant)
-        assert first == second
-        # identity-keyed lru_cache (the old behaviour) would store two
-        assert len(exhaustive._root_bound_cache) == 1
-        root_lower_bound_cache_clear()
 
-    def test_lru_turnover_bounds_the_memo(self, monkeypatch):
-        from repro.solvers import exhaustive
-        from repro.solvers.exhaustive import root_lower_bound, root_lower_bound_cache_clear
+def _search_outcome(search):
+    """The optimum (or the failure) of one A* run, and its counters."""
+    with recording() as recorder:
+        try:
+            outcome = _astar(search, search.max_states)[0]
+        except SolverError as exc:
+            outcome = str(exc)
+    telemetry = recorder.search
+    return (
+        outcome,
+        telemetry.expanded,
+        telemetry.frontier_peak,
+        telemetry.dominated_pruned,
+        telemetry.completed,
+    )
 
-        root_lower_bound_cache_clear()
-        monkeypatch.setattr(exhaustive, "ROOT_BOUND_CACHE_SIZE", 3)
-        dag = binary_tree_instance(3).dag
-        variant = self._default_variant()
-        for r in (2, 3, 4, 5, 6):
-            root_lower_bound(dag, r, "rbp", variant)
-        assert len(exhaustive._root_bound_cache) == 3
-        keys = list(exhaustive._root_bound_cache)
-        assert [key[1] for key in keys] == [4, 5, 6]  # oldest r evicted first
-        root_lower_bound_cache_clear()
+
+class TestRootFloor:
+    """A* floors every f-value at the trivial cost, and never needs to."""
+
+    def test_floor_is_the_trivial_cost_in_every_game_and_variant(self):
+        for dag in (figure1_instance().dag, binary_tree_instance(3).dag):
+            for game in ("rbp", "prbp"):
+                for variant in VARIANTS:
+                    assert root_lower_bound(dag, 4, game, variant) == dag.trivial_cost()
+
+    def test_floor_is_zero_with_an_isolated_node(self):
+        dag = ComputationalDAG(4, [(0, 1), (1, 2)])  # node 3 is isolated
+        assert dag.trivial_cost() > 0
+        for game in ("rbp", "prbp"):
+            assert root_lower_bound(dag, 3, game, ONE_SHOT) == 0
+
+
+class TestTheFloorNeverBinds:
+    """``g + h`` never falls below the trivial cost: every source not yet
+    loaded and every sink not yet saved is counted by the heuristic.  So the
+    search runs the same with its floor dropped to 0; a heuristic that stops
+    counting either term lets the floor raise f-values and fails here."""
+
+    @settings(deadline=None)
+    @given(
+        dag=tiny_dags(),
+        game=st.sampled_from(sorted(SEARCHES)),
+        variant_draw=st.integers(min_value=0, max_value=3),
+        extra_r=st.integers(min_value=0, max_value=3),
+    )
+    # the depth-3 binary tree at the smallest r catches a dropped source or
+    # sink term in either heuristic even when the draws miss it
+    @example(dag=binary_tree_instance(3).dag, game="rbp", variant_draw=0, extra_r=0)
+    @example(dag=binary_tree_instance(3).dag, game="prbp", variant_draw=0, extra_r=0)
+    def test_a_zero_floor_changes_nothing(self, dag, game, variant_draw, extra_r):
+        search_cls, variants = SEARCHES[game]
+        variant = variants[variant_draw % len(variants)]
+        r = max(1, _min_r(dag, game, variant)) + extra_r
+        floored = search_cls(dag, r, variant, 5_000)
+        unfloored = search_cls(dag, r, variant, 5_000)
+        unfloored.root_bound = 0
+        assert _search_outcome(floored) == _search_outcome(unfloored), (game, r, variant)

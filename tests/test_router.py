@@ -432,8 +432,8 @@ class TestAdmissionDefence:
 
 class TestFailover:
     def test_killed_backend_requests_redispatch_or_fail_typed_never_hang(self):
-        """Kill one backend under load: in-flight and subsequent requests either
-        re-dispatch (bit-identical results) or fail with a typed error."""
+        """Kill one backend: the request that first meets it fails over, and
+        its shard's later requests re-dispatch with bit-identical results."""
 
         async def scenario(router, services, host, port):
             names = tuple(spec.name for spec in router.config.backends)
@@ -461,45 +461,37 @@ class TestFailover:
                 async with await ServiceClient.connect(host, port) as client:
                     return await client.solve(problem)
 
-            async def kill_victim():
-                await asyncio.sleep(0.05)
-                await victim.shutdown(drain=False)
-
+            # phase 1: load over both backends, each shard served by its owner
             outcomes = await asyncio.wait_for(
-                asyncio.gather(
-                    *(request(problem) for problem in workload),
-                    kill_victim(),
-                    return_exceptions=True,
-                ),
-                timeout=30.0,  # the acceptance bar: never hangs
+                asyncio.gather(*(request(problem) for problem in workload)), timeout=30.0
             )
-            request_outcomes = outcomes[:-1]
-            for outcome, want in zip(request_outcomes, local):
-                if isinstance(outcome, BaseException):
-                    # a request caught mid-drain may surface as a typed error
-                    assert isinstance(outcome, ServiceError), outcome
-                    assert outcome.code in ("shutting-down", "no-backend"), outcome.code
-                else:
-                    assert outcome.cost == want.cost
-                    assert outcome.schedule.moves == want.schedule.moves
+            for outcome, want in zip(outcomes, local):
+                assert outcome.cost == want.cost
+                assert outcome.schedule.moves == want.schedule.moves
 
-            survivors = {name for name in names if name != victim_name}
-
-            # an uncacheable request skips the probe tiers, so the dead
-            # victim is discovered by the dispatch itself — the relay fails
-            # over to the next ring node and the failover counter must move
+            # phase 2: kill the victim and, while it drains, send one
+            # uncacheable request it owns.  No cacheable request runs in this
+            # phase, so no probe can find the victim first: this dispatch is
+            # the router's first contact with it, and it must fail over to
+            # the next ring node
+            kill = asyncio.create_task(victim.shutdown(drain=False))
+            await asyncio.sleep(0)  # the victim stops admitting before the dispatch
             slow_options = {"time_budget_s": SLOW_BUDGET_S / 4, "seed": 0}
             uncacheable, _ = _problem_with_primary(
                 ring, victim_name, solver="anytime", options=slow_options
             )
             async with await ServiceClient.connect(host, port) as client:
-                result = await asyncio.wait_for(
-                    client.solve(uncacheable, "anytime", **slow_options), timeout=30.0
+                result, meta = await asyncio.wait_for(
+                    client.solve_detailed(uncacheable, "anytime", **slow_options), timeout=30.0
                 )
             assert result.cost >= 1
+            survivors = {name for name in names if name != victim_name}
+            assert meta["backend"] in survivors
+            assert router.stats()["routing"]["failovers"] >= 1
+            await asyncio.wait_for(kill, timeout=30.0)  # the acceptance bar: never hangs
 
-            # the victim's whole shard now fails over and cacheable answers
-            # are still bit-identical to local solves
+            # phase 3: the victim's whole shard now fails over and cacheable
+            # answers are still bit-identical to local solves
             problem, _ = _problem_with_primary(ring, victim_name, exclude)
             want = solve(problem)
             async with await ServiceClient.connect(host, port) as client:
