@@ -3,8 +3,9 @@
 ``solve(problem)`` runs the auto-dispatch portfolio; ``solve(problem,
 solver="fft-blocked")`` runs one registered solver by name.  Either way the
 returned :class:`~repro.api.result.SolveResult` carries a schedule that has
-been replayed through the engine, so the reported cost is the cost of an
-actually legal pebbling.
+been replayed once by the schedule-IR replay kernel (``Schedule.stats()``,
+differentially pinned to the game engines), so the reported cost is the
+cost of an actually legal pebbling.
 
 The ``"auto"`` portfolio, in order:
 
@@ -88,9 +89,10 @@ def _run(
 ) -> SolveResult:
     """Run one solver, replay its schedule once and package it into a result.
 
-    The ``stats()`` replay below is the only engine replay of a solver's
+    The ``stats()`` replay below is the only validation of a solver's
     schedule: solvers return schedules unreplayed, and an illegal one raises
-    here.
+    here.  It runs the replay kernel; the game engines only replay a
+    schedule the kernel refuses, to raise their own message.
 
     ``bound`` is the problem's precomputed ``best_lower_bound`` pair — it
     depends only on the problem, so callers compute it once per solve rather
@@ -101,7 +103,7 @@ def _run(
     start = time.perf_counter()
     with recording() as recorder:
         schedule: Schedule = info.fn(problem, **options)
-    stats = schedule.stats()  # replays through the engine; raises on an illegal schedule
+    stats = schedule.stats()  # the kernel replay; raises on an illegal schedule
     wall_time = time.perf_counter() - start
     search = recorder.search
     return SolveResult(
@@ -126,13 +128,11 @@ def _apply_refinement(result: SolveResult, **options: object) -> SolveResult:
 
     Cost-monotone by construction — the refined schedule replaces the
     original only when it is strictly cheaper; either way the trajectory is
-    recorded on ``solve_stats``.  The input was already replayed by the
-    engine in :func:`_run`, so its verified cost is handed to
-    :func:`refine_schedule` instead of a second replay; a refined schedule's
-    stats come from the replay kernel
-    (:func:`~repro.core.schedule_ir.kernel_stats`, pinned to the engines by
-    the differential harness), so the solve replays through the engine
-    once.  Skipped entirely when the result is
+    recorded on ``solve_stats``.  The input was already replayed in
+    :func:`_run`, so its verified cost is handed to :func:`refine_schedule`
+    instead of a second replay; a refined schedule's stats come from one
+    more kernel replay (:func:`~repro.core.schedule_ir.kernel_stats`).
+    Skipped entirely when the result is
     already provably optimal, when ``refine=False`` is passed, or — unless a
     refinement knob was given explicitly — on DAGs above
     :data:`GREEDY_COMPARISON_NODE_LIMIT` nodes, where the replay-heavy

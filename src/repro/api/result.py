@@ -1,7 +1,7 @@
 """The :class:`SolveResult` container returned by :func:`repro.api.solve`.
 
 A result always carries a *validated* schedule (the cost is the cost of an
-actually legal pebbling, replayed through the engine), the replay statistics,
+actually legal pebbling, replayed by the schedule-IR kernel), the replay statistics,
 the best lower bound the library knows for the instance, and the optimality
 flags derived from the two.
 """

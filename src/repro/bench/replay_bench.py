@@ -7,8 +7,9 @@ payload, rebuild the schedule, replay it, read off the statistics.  Two
 implementations race over the *same* deterministic batch of schedules:
 
 * **engine** — the Move-object path: a per-move JSON list is turned back
-  into ``RBPMove``/``PRBPMove`` objects, wrapped in a schedule container,
-  and replayed through ``Schedule.stats()`` (per-move Python dispatch);
+  into ``RBPMove``/``PRBPMove`` objects and replayed move by move through a
+  fresh ``RBPGame``/``PRBPGame`` (per-move Python dispatch), counting move
+  kinds and peak red as it goes;
 * **kernel** — the columnar path: the packed base64 columns of
   :mod:`repro.core.schedule_ir` are decoded with :func:`unpack_arrays`,
   validated by :func:`ir_from_arrays`, and replayed one schedule at a time
@@ -32,12 +33,14 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.dag import ComputationalDAG
 from ..core.moves import MoveKind, PRBPMove, RBPMove
+from ..core.prbp import PRBPGame
+from ..core.rbp import RBPGame
 from ..core.schedule_ir import (
     ScheduleIR,
     from_schedule,
@@ -47,7 +50,7 @@ from ..core.schedule_ir import (
     to_schedule,
     unpack_arrays,
 )
-from ..core.strategy import PRBPSchedule, RBPSchedule
+from ..core.strategy import ScheduleStats
 from ..core.variants import GameVariant
 from ..dags.fft import fft_dag
 from ..dags.linalg import matvec_dag
@@ -105,6 +108,35 @@ def _engine_wire_doc(ir: ScheduleIR) -> List[List[object]]:
     return items
 
 
+def _replay_stats(game: Union[RBPGame, PRBPGame], moves: Sequence) -> ScheduleStats:
+    """Apply ``moves`` to a fresh engine ``game`` and summarise the completed pebbling."""
+    peak = loads = saves = computes = deletes = clears = 0
+    for mv in moves:
+        game.apply(mv)
+        peak = max(peak, game.red_count())
+        if mv.kind is MoveKind.LOAD:
+            loads += 1
+        elif mv.kind is MoveKind.SAVE:
+            saves += 1
+        elif mv.kind is MoveKind.COMPUTE:
+            computes += 1
+        elif mv.kind is MoveKind.DELETE:
+            deletes += 1
+        elif mv.kind is MoveKind.CLEAR:
+            clears += 1
+    game.assert_terminal()
+    return ScheduleStats(
+        io_cost=game.io_cost,
+        loads=loads,
+        saves=saves,
+        computes=computes,
+        deletes=deletes,
+        clears=clears,
+        total_cost=game.total_cost,
+        peak_red=peak,
+    )
+
+
 def _engine_validate(
     game: str,
     dag: ComputationalDAG,
@@ -120,7 +152,8 @@ def _engine_validate(
                 RBPMove(MoveKind(item[0]), int(item[1]), int(item[2]) if len(item) == 3 else None)
                 for item in items
             ]
-            total += RBPSchedule(dag, r, rbp_moves, variant=variant).stats().io_cost
+            rbp_game = RBPGame(dag, r, variant, record_history=False)
+            total += _replay_stats(rbp_game, rbp_moves).io_cost
         else:
             prbp_moves = [
                 PRBPMove(MoveKind(item[0]), edge=(int(item[1]), int(item[2])))
@@ -128,7 +161,8 @@ def _engine_validate(
                 else PRBPMove(MoveKind(item[0]), node=int(item[1]))
                 for item in items
             ]
-            total += PRBPSchedule(dag, r, prbp_moves, variant=variant).stats().io_cost
+            prbp_game = PRBPGame(dag, r, variant, record_history=False)
+            total += _replay_stats(prbp_game, prbp_moves).io_cost
     return total
 
 

@@ -126,7 +126,6 @@ class _DagData:
         "n",
         "m",
         "preds",
-        "pred_sets",
         "in_edges",
         "indeg",
         "outdeg",
@@ -143,12 +142,8 @@ class _DagData:
         self.preds: Tuple[Tuple[int, ...], ...] = tuple(
             dag.predecessors(v) for v in range(n)
         )
-        self.pred_sets: Tuple[frozenset, ...] = tuple(
-            frozenset(p) for p in self.preds
-        )
-        self.edge_index: Dict[Tuple[int, int], int] = {
-            edge: eid for eid, edge in enumerate(dag.edges)
-        }
+        # the DAG's own (u, v) -> edge id dict, shared rather than copied
+        self.edge_index: Dict[Tuple[int, int], int] = dag._edge_index
         self.in_edges: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
             tuple((u, self.edge_index[(u, v)]) for u in self.preds[v])
             for v in range(n)
@@ -165,7 +160,12 @@ class _DagData:
 
 
 _DAG_DATA_CACHE: "OrderedDict[int, Tuple[ComputationalDAG, _DagData]]" = OrderedDict()
-_DAG_DATA_CACHE_SIZE = 32
+# Each entry pins its DAG and tables (fft-256: a 1.3 MB DAG, 0.3 MB of
+# tables), and every solve's validation replay lands here.  The refiner,
+# which is why the cache exists, replays one DAG per solve, so two entries
+# keep its hits; at 32, perfbench's structured workload (>2000-node DAGs)
+# grew its peak RSS by about a quarter.
+_DAG_DATA_CACHE_SIZE = 2
 # Guards the LRU: concurrent solves in one process share it, and an eviction
 # between another thread's lookup and move_to_end would raise KeyError.
 _DAG_DATA_LOCK = threading.Lock()
@@ -566,7 +566,6 @@ def _rbp_scalar(
     red, blue, computed = at.arrays
     is_source = data.is_source
     preds = data.preds
-    pred_sets = data.pred_sets
     allow_delete = variant.allow_delete
     allow_sliding = variant.allow_sliding
     one_shot = variant.one_shot
@@ -611,7 +610,7 @@ def _rbp_scalar(
                 failed = i
                 break
             if y >= 0:  # sliding compute
-                if not allow_sliding or y not in pred_sets[x]:
+                if not allow_sliding or y not in preds[x]:
                     failed = i
                     break
                 if red[y]:
@@ -775,13 +774,14 @@ def _prbp_scalar(
 
 
 def _check_ir_game(ir: ScheduleIR) -> None:
+    # mirror RBPGame/PRBPGame.__init__, in their order: such a game cannot start
+    if ir.r < 1:
+        raise ValueError(f"fast memory capacity must be >= 1, got {ir.r}")
     if ir.game == "prbp" and ir.variant.allow_sliding:
-        # mirror PRBPGame.__init__: such a schedule cannot even start
         raise ValueError(
             "the sliding variant only applies to RBP; PRBP partial computes are already in-place"
         )
-    if ir.r < 1:
-        raise ValueError(f"fast memory capacity must be >= 1, got {ir.r}")
+    ir.dag.validate_no_isolated()
 
 
 def _ir_rows(ir: ScheduleIR) -> List[MoveRow]:
@@ -836,7 +836,7 @@ def replay_io_cost(
     start: Optional[ReplayState] = None,
 ) -> Optional[int]:
     """I/O cost of a candidate row list, or ``None`` unless it replays legally
-    *and* terminally — the kernel twin of the refiner's engine replay.
+    *and* terminally — the kernel twin of ``Schedule.cost()``.
 
     This is the mutation-scoring hot path: the same loop as :func:`replay`,
     without building the outcome's masks.  Rows must use in-range node ids
@@ -876,11 +876,12 @@ def advance(
 def kernel_stats(ir: ScheduleIR) -> ScheduleStats:
     """Replay an IR and return engine-identical :class:`ScheduleStats`.
 
-    Raises exactly like the engine replay in ``Schedule.stats()``:
-    :class:`IllegalMoveError` at an illegal move,
-    :class:`IncompletePebblingError` when the final configuration is not
-    terminal.  The cache and the wire protocol use this as their
-    "never trust, always replay" check.
+    Raises the engines' exception classes: :class:`IllegalMoveError` at an
+    illegal move, :class:`IncompletePebblingError` when the final
+    configuration is not terminal, and the constructors' ``ValueError`` /
+    :class:`~repro.core.exceptions.DAGError` for a game that cannot start.
+    It is the validation replay of ``Schedule.stats()`` (once per solve),
+    the cache and the wire protocol.
     """
     outcome = replay(ir)
     if not outcome.legal:

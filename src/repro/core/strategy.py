@@ -2,20 +2,22 @@
 
 The solvers and the structured strategy generators all return
 :class:`RBPSchedule` or :class:`PRBPSchedule` objects — a move list bundled
-with the DAG, the capacity and the variant it was built for.  The
-``validate`` / ``cost`` / ``stats`` helpers replay the schedule through the
-engine; :func:`repro.api.solve` calls ``stats`` exactly once per solve, so a
-reported cost is always the cost of an actually legal pebbling, never a
-formula taken on faith.
+with the DAG, the capacity and the variant it was built for.  ``stats``
+replays the schedule through the schedule-IR kernel; :func:`repro.api.solve`
+calls it exactly once per solve, so a reported cost is always the cost of an
+actually legal pebbling, never a formula taken on faith.  ``validate`` /
+``cost`` replay through the game engines, the reference the kernel is
+differentially tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Union
+from typing import List, Union
 
 from .dag import ComputationalDAG
-from .moves import MoveKind, PRBPMove, RBPMove
+from .exceptions import PebblingError
+from .moves import PRBPMove, RBPMove
 from .prbp import PRBPGame, run_prbp_schedule
 from .rbp import RBPGame, run_rbp_schedule
 from .variants import ONE_SHOT, GameVariant
@@ -42,33 +44,15 @@ class ScheduleStats:
         return self.loads + self.saves + self.computes + self.deletes + self.clears
 
 
-def _replay_stats(game: Union[RBPGame, PRBPGame], moves: Sequence) -> ScheduleStats:
-    """Apply ``moves`` to a fresh engine ``game`` and summarise the completed pebbling."""
-    peak = loads = saves = computes = deletes = clears = 0
-    for mv in moves:
-        game.apply(mv)
-        peak = max(peak, game.red_count())
-        if mv.kind is MoveKind.LOAD:
-            loads += 1
-        elif mv.kind is MoveKind.SAVE:
-            saves += 1
-        elif mv.kind is MoveKind.COMPUTE:
-            computes += 1
-        elif mv.kind is MoveKind.DELETE:
-            deletes += 1
-        elif mv.kind is MoveKind.CLEAR:
-            clears += 1
-    game.assert_terminal()
-    return ScheduleStats(
-        io_cost=game.io_cost,
-        loads=loads,
-        saves=saves,
-        computes=computes,
-        deletes=deletes,
-        clears=clears,
-        total_cost=game.total_cost,
-        peak_red=peak,
-    )
+def _kernel_stats(schedule: Union["RBPSchedule", "PRBPSchedule"]) -> ScheduleStats:
+    """One kernel replay; a refused schedule is replayed by the engine to raise its message."""
+    from .schedule_ir import from_schedule, kernel_stats  # schedule_ir imports this module
+
+    try:
+        return kernel_stats(from_schedule(schedule))
+    except (PebblingError, ValueError):  # ValueError: a game that cannot start, a bad node id
+        schedule.validate()
+        raise  # the engine accepted it: the kernel's error stands
 
 
 @dataclass
@@ -95,8 +79,7 @@ class RBPSchedule:
 
     def stats(self) -> ScheduleStats:
         """Replay the schedule and return per-kind move counts and the peak red-pebble usage."""
-        game = RBPGame(self.dag, self.r, variant=self.variant, record_history=False)
-        return _replay_stats(game, self.moves)
+        return _kernel_stats(self)
 
     def __len__(self) -> int:
         return len(self.moves)
@@ -122,8 +105,7 @@ class PRBPSchedule:
 
     def stats(self) -> ScheduleStats:
         """Replay the schedule and return per-kind move counts and the peak red-pebble usage."""
-        game = PRBPGame(self.dag, self.r, variant=self.variant, record_history=False)
-        return _replay_stats(game, self.moves)
+        return _kernel_stats(self)
 
     def io_subsequence_boundaries(self) -> List[int]:
         """Indices (into ``moves``) that end each block of ``r`` I/O operations.

@@ -57,8 +57,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 from ..core.dag import ComputationalDAG
 from ..core.exceptions import PebblingError, SolverError
 from ..core.moves import MoveKind, PRBPMove, RBPMove
-from ..core.prbp import PRBPGame, run_prbp_schedule
-from ..core.rbp import RBPGame, run_rbp_schedule
+from ..core.prbp import PRBPGame
+from ..core.rbp import RBPGame
 from ..core.schedule_ir import (
     OP_CLEAR,
     OP_COMPUTE,
@@ -208,28 +208,6 @@ def schedule_io_count(schedule: Schedule) -> int:
 
 def _io_count(moves: Sequence[Move]) -> int:
     return sum(1 for mv in moves if mv.is_io)
-
-
-def _replay_cost(
-    dag: ComputationalDAG,
-    r: int,
-    moves: Sequence[Move],
-    variant: GameVariant,
-    game: str,
-) -> Optional[int]:
-    """I/O cost of a move list via the *engine*, or None if it does not replay.
-
-    Kept for the one-time validation of the input schedule: the engines stay
-    the semantics definition, so refinement only ever starts from a schedule
-    the engine itself accepts.  Candidate scoring inside the search runs on
-    the differential-tested replay kernel (:func:`replay_io_cost`) instead.
-    """
-    try:
-        if game == "rbp":
-            return run_rbp_schedule(dag, r, moves, variant=variant).io_cost
-        return run_prbp_schedule(dag, r, moves, variant=variant).io_cost
-    except PebblingError:
-        return None
 
 
 def _io_count_rows(rows: Sequence[Row]) -> int:
@@ -568,8 +546,9 @@ def refine_schedule(
     ----------
     schedule:
         A *valid* :class:`RBPSchedule` or :class:`PRBPSchedule`; unless
-        ``verified_cost`` is given it is replayed once up front through the
-        engine and an illegal input raises immediately.
+        ``verified_cost`` is given it is replayed once up front
+        (``schedule.stats()``, the replay kernel) and an illegal input
+        raises immediately.
     steps:
         Mutation-attempt budget.  ``None`` means
         :data:`DEFAULT_REFINE_STEPS`, unless a wall-clock budget is given
@@ -590,9 +569,9 @@ def refine_schedule(
         decreasing after the first call).  The hook does not influence the
         search; an exception it raises propagates to the caller.
     verified_cost:
-        The input's I/O cost as an engine replay already established it
-        (the solve pipeline replays every solver's schedule before
-        refining it).  Given, the up-front replay is skipped and this cost
+        The input's I/O cost as a replay already established it (the
+        solve pipeline replays every solver's schedule before refining
+        it).  Given, the up-front replay is skipped and this cost
         is trusted; the caller vouches that the schedule is legal.
 
     Returns
@@ -608,12 +587,13 @@ def refine_schedule(
 
     initial_cost = verified_cost
     if initial_cost is None:
-        initial_cost = _replay_cost(dag, r, schedule.moves, variant, game)
-    if initial_cost is None:
-        raise SolverError(
-            "refine_schedule() requires a legal, complete input schedule; "
-            f"the given {game.upper()} schedule does not replay"
-        )
+        try:
+            initial_cost = schedule.stats().io_cost
+        except PebblingError as exc:
+            raise SolverError(
+                "refine_schedule() requires a legal, complete input schedule; "
+                f"the given {game.upper()} schedule does not replay"
+            ) from exc
 
     if time_budget_s is None and steps is None:
         steps = DEFAULT_REFINE_STEPS

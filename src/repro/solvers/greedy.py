@@ -249,7 +249,7 @@ def greedy_rbp_rows(
     dag.validate_no_isolated()  # the check RBPGame makes before the first move
 
     data = _dag_data(dag)
-    preds, pred_sets, is_source = data.preds, data.pred_sets, data.is_source
+    preds, is_source = data.preds, data.is_source
     allow_delete = variant.allow_delete
     steps = [preds[v] + (v,) for v in order if not is_source[v]]
     uses = _next_use_table(steps, dag.n)
@@ -264,7 +264,7 @@ def greedy_rbp_rows(
 
     def evict(pos: int, v: int) -> None:
         """Free one fast-memory slot, never touching ``v`` or its inputs."""
-        inputs = pred_sets[v]
+        inputs = preds[v]
         candidates = [w for w in red if w != v and w not in inputs]
         if not candidates:
             raise SolverError(

@@ -15,12 +15,13 @@ from repro.api import (
     solver_names,
     unregister_solver,
 )
+from repro.core import schedule_ir
 from repro.core.dag import ComputationalDAG, DAGFamily
 from repro.core.exceptions import IllegalMoveError, SolverError
 from repro.core.moves import rbp
 from repro.core.prbp import PRBPGame
 from repro.core.rbp import RBPGame
-from repro.core.strategy import RBPSchedule
+from repro.core.strategy import PRBPSchedule, RBPSchedule
 from repro.core.variants import ONE_SHOT
 from repro.dags import (
     attention_dag,
@@ -122,7 +123,8 @@ class TestRegistry:
 
         try:
             problem = PebblingProblem(ComputationalDAG(3, [(0, 2), (1, 2)]), r=3, game="rbp")
-            with pytest.raises(IllegalMoveError):
+            # the kernel refuses the schedule; the error is the engine's own
+            with pytest.raises(IllegalMoveError, match="inputs without a red pebble"):
                 solve(problem, solver="test-illegal")
         finally:
             unregister_solver("test-illegal")
@@ -383,7 +385,8 @@ class TestTagAuthentication:
 
 
 class TestSolveBoundary:
-    """``solve()`` replays every returned schedule exactly once, and needs only numpy."""
+    """``solve()`` replays every returned schedule exactly once (through the
+    replay kernel, never the game engines), and needs only numpy."""
 
     @pytest.mark.parametrize(
         "solver, dag, r, game",
@@ -396,7 +399,7 @@ class TestSolveBoundary:
         ],
         ids=["tree-prbp", "matvec-prbp", "fft-rbp", "fft-prbp", "exhaustive-prbp"],
     )
-    def test_one_engine_replay_per_solve(self, monkeypatch, solver, dag, r, game):
+    def test_one_kernel_replay_per_solve(self, monkeypatch, solver, dag, r, game):
         constructed = []
         for game_cls in (RBPGame, PRBPGame):
             original = game_cls.__init__
@@ -406,25 +409,37 @@ class TestSolveBoundary:
                 _original(self, *args, **kwargs)
 
             monkeypatch.setattr(game_cls, "__init__", counting_init)
+        replays = []
+        original_replay = schedule_ir.replay
+
+        def counting_replay(ir):
+            replays.append(ir.game)
+            return original_replay(ir)
+
+        monkeypatch.setattr(schedule_ir, "replay", counting_replay)
         solve(PebblingProblem(dag, r=r, game=game), solver=solver)
-        assert len(constructed) == 1, constructed
+        assert constructed == []
+        assert replays == [game]
 
     def test_refinement_inside_solve_trusts_the_engine_verified_cost(self, monkeypatch):
+        # the verified cost is _run's stats() replay (the kernel); the
+        # refiner trusts it instead of replaying its input again
         calls = []
-        original = anytime._replay_cost
+        for cls in (RBPSchedule, PRBPSchedule):
+            original = cls.stats
 
-        def counting_replay_cost(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+            def counting_stats(self, _original=original):
+                calls.append(type(self).__name__)
+                return _original(self)
 
-        monkeypatch.setattr(anytime, "_replay_cost", counting_replay_cost)
+            monkeypatch.setattr(cls, "stats", counting_stats)
         dag = random_layered_dag((6, 6, 6, 6), 0.3, max_in_degree=2, seed=0)
         result = solve(PebblingProblem(dag, r=4, game="prbp"))
         assert result.solve_stats.refinement is not None
-        assert calls == []  # _run's replay already verified the input
-        # a direct caller still gets the engine check of its input
+        assert calls == ["PRBPSchedule"]  # _run's replay, and only that
+        # a direct caller still gets its input checked
         anytime.refine_schedule(result.schedule, steps=4)
-        assert len(calls) == 1
+        assert calls == ["PRBPSchedule"] * 2
 
     def test_numpy_only_solve_computes_the_exact_root_bounds(self, monkeypatch):
         problems = [PebblingProblem(kary_tree_dag(2, 2), r=3, game=g) for g in ("rbp", "prbp")]

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.api import PebblingProblem, solve
+from repro.core.dag import ComputationalDAG
 from repro.core.schedule_ir import ir_from_arrays, pack_arrays, unpack_arrays
 from repro.core.variants import ONE_SHOT, RECOMPUTE, GameVariant
 from repro.dags import chained_gadget_dag, figure1_gadget, kary_tree_dag
@@ -321,6 +322,25 @@ class TestResultRoundTrip:
         doc["schedule"] = {**pack_arrays(truncated), "description": ""}
         with pytest.raises(ProtocolError):
             result_from_wire(problem, doc)
+
+    def test_results_on_dags_with_isolated_nodes_are_refused(self):
+        # the engines refuse to start a game on such a DAG, so the wire must
+        # too, even for a schedule that pebbles every other node
+        dag = ComputationalDAG(4, [(0, 1), (1, 2)])  # node 3 is isolated
+        columns = {
+            "rbp": ([0, 2, 2, 1], [0, 1, 2, 2], [-1, -1, -1, -1]),
+            "prbp": ([0, 2, 2, 1], [0, 0, 1, 2], [-1, 1, 2, -1]),
+        }
+        for game, (op, node, arg) in columns.items():
+            problem = PebblingProblem(dag, r=3, game=game)
+            ir = ir_from_arrays(game, dag, 3, problem.variant, op, node, arg)
+            doc = {
+                "solver": "greedy",
+                "io_cost": 2,
+                "schedule": {**pack_arrays(ir), "description": ""},
+            }
+            with pytest.raises(ProtocolError, match="node 3 .* is isolated"):
+                result_from_wire(problem, doc)
 
     def test_columns_from_the_wrong_game_are_refused(self):
         rbp = PebblingProblem(figure1_gadget(), r=4, game="rbp")

@@ -15,6 +15,7 @@ CI's test job runs it on one Python version.
 
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import schedule_ir as sir
+from repro.core.dag import ComputationalDAG
 from repro.core.exceptions import (
+    DAGError,
     IllegalMoveError,
     IncompletePebblingError,
     PebblingError,
@@ -30,7 +33,7 @@ from repro.core.exceptions import (
 from repro.core.moves import MoveKind, PRBPMove, RBPMove
 from repro.core.prbp import PRBPGame
 from repro.core.rbp import RBPGame
-from repro.core.strategy import PRBPSchedule, RBPSchedule
+from repro.core.strategy import PRBPSchedule, RBPSchedule, ScheduleStats
 from repro.core.variants import NO_DELETE, ONE_SHOT, RECOMPUTE, SLIDING, GameVariant
 from repro.dags.gadgets import figure1_gadget
 from repro.dags.linalg import matvec_dag
@@ -209,18 +212,66 @@ def test_prbp_kernel_matches_engine(schedule):
 
 @given(rbp_case() | prbp_case())
 def test_kernel_stats_matches_schedule_stats(schedule):
+    # Schedule.stats() is kernel_stats, so the oracle is the engine walk
+    # plus move-kind counts read off the moves
+    verdict = engine_reference(schedule)
     ir = sir.from_schedule(schedule)
-    try:
-        expected = schedule.stats()
-    except IllegalMoveError:
+    if verdict["failed_at"] is not None:
         with pytest.raises(IllegalMoveError):
             sir.kernel_stats(ir)
         return
-    except IncompletePebblingError:
+    if not verdict["ok"]:
         with pytest.raises(IncompletePebblingError):
             sir.kernel_stats(ir)
         return
-    assert sir.kernel_stats(ir) == expected
+    kinds = Counter(mv.kind for mv in schedule.moves)
+    assert sir.kernel_stats(ir) == ScheduleStats(
+        io_cost=verdict["io_cost"],
+        loads=kinds[MoveKind.LOAD],
+        saves=kinds[MoveKind.SAVE],
+        computes=kinds[MoveKind.COMPUTE],
+        deletes=kinds[MoveKind.DELETE],
+        clears=kinds[MoveKind.CLEAR],
+        total_cost=verdict["io_cost"] + verdict["compute_cost_total"],
+        peak_red=verdict["peak_red"],
+    )
+
+
+@given(rbp_case() | prbp_case())
+def test_stats_refuses_with_the_engine_error(schedule):
+    try:
+        schedule.validate()
+    except PebblingError as exc:
+        with pytest.raises(PebblingError) as refused:
+            schedule.stats()
+        assert type(refused.value) is type(exc)
+        assert str(refused.value) == str(exc)
+        return
+    assert schedule.stats().io_cost == schedule.cost()
+
+
+def test_stats_refuses_unrepresentable_nodes_with_the_engine_error():
+    dag = figure1_gadget()
+    for schedule in (
+        RBPSchedule(dag, 3, [RBPMove(MoveKind.LOAD, dag.n)]),
+        PRBPSchedule(dag, 3, [PRBPMove(MoveKind.COMPUTE, edge=(0, dag.n + 4))]),
+    ):
+        with pytest.raises(PebblingError) as engine:
+            schedule.validate()
+        with pytest.raises(PebblingError) as refused:
+            schedule.stats()
+        assert type(refused.value) is type(engine.value)
+        assert str(refused.value) == str(engine.value)
+
+
+def test_isolated_node_refused_like_engine():
+    dag = ComputationalDAG(4, [(0, 1), (1, 2)])  # node 3 is isolated
+    for make, game_cls in ((RBPSchedule, RBPGame), (PRBPSchedule, PRBPGame)):
+        with pytest.raises(DAGError) as engine:
+            game_cls(dag, 3)
+        with pytest.raises(DAGError) as kernel:
+            sir.kernel_stats(sir.from_schedule(make(dag, 3, [])))
+        assert str(kernel.value) == str(engine.value) == "node 3 (v3) is isolated"
 
 
 # --------------------------------------------------------------------------- #
