@@ -21,11 +21,7 @@ from ..api.result import SolveResult
 from ..core.dag import ComputationalDAG
 from ..core.variants import ONE_SHOT, GameVariant
 
-__all__ = ["ModelComparison", "compare_models", "EXACT_NODE_LIMIT"]
-
-#: Above this node count the auto portfolio skips the exhaustive solvers
-#: (kept as an alias of the facade's limit for backwards compatibility).
-EXACT_NODE_LIMIT = AUTO_EXACT_NODE_LIMIT
+__all__ = ["ModelComparison", "compare_models"]
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,7 @@ def compare_models(
     dag: ComputationalDAG,
     r: int,
     variant: GameVariant = ONE_SHOT,
-    exact_node_limit: int = EXACT_NODE_LIMIT,
+    exact_node_limit: int = AUTO_EXACT_NODE_LIMIT,
     max_states: int = 500_000,
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,

@@ -27,12 +27,7 @@ from __future__ import annotations
 
 from ..core.exceptions import IllegalMoveError, SolverError
 from ..core.variants import ONE_SHOT
-from ..solvers.anytime import (
-    BEAM_NODE_LIMIT,
-    beam_construct,
-    refine_schedule,
-    schedule_io_count,
-)
+from ..solvers.anytime import refine_schedule, schedule_io_count
 from ..solvers.baselines import naive_prbp_schedule, naive_rbp_schedule
 from ..solvers.exhaustive import (
     DEFAULT_MAX_STATES,
@@ -105,21 +100,20 @@ def _anytime_min_r(problem: PebblingProblem) -> int:
 @register_solver(
     "anytime",
     games=("rbp", "prbp"),
-    description="budgeted local-search refinement over greedy/structured/beam seeds",
+    description="budgeted local-search refinement over greedy/structured seeds",
     min_r=_anytime_min_r,
 )
 def _anytime(problem: PebblingProblem, **options: object) -> Schedule:
     """Anytime portfolio: seed with the cheapest known schedule, then refine.
 
     Seeds are gathered from every family-matched structured solver plus the
-    greedy baseline; a beam-search constructor (bounded by the best seed's
-    cost) joins in on DAGs of at most ``BEAM_NODE_LIMIT`` nodes.  The
-    cheapest seed is refined under the configured step/wall-clock budget —
-    the returned schedule never costs more than the best seed.
+    greedy baseline.  The cheapest seed is refined under the configured
+    step/wall-clock budget — the returned schedule never costs more than the
+    best seed.
 
     Options: ``refine_steps`` (or ``budget``) for the mutation-attempt
     budget, ``time_budget_s`` for a wall-clock ceiling, ``seed`` for the
-    RNG, ``beam_width=0`` to disable the constructor.
+    RNG.
     """
     seeds: list = []
     failures: list = []
@@ -148,26 +142,7 @@ def _anytime(problem: PebblingProblem, **options: object) -> Schedule:
             f"anytime solver found no seed schedule for {problem.describe()} — {detail}"
         )
 
-    best_cost, origin, best = min(
-        ((schedule_io_count(schedule), name, schedule) for name, schedule in seeds),
-        key=lambda scored: scored[0],
-    )
-
-    rng_seed = int(options.get("seed") or 0)
-    beam_width = options.get("beam_width")
-    width = 6 if beam_width is None else int(beam_width)
-    if width > 0 and problem.n <= int(options.get("beam_node_limit", BEAM_NODE_LIMIT)):
-        constructed = beam_construct(
-            problem.dag,
-            problem.r,
-            problem.game,
-            problem.variant,
-            upper_bound=best_cost,
-            width=width,
-            seed=rng_seed,
-        )
-        if constructed is not None:
-            origin, best = "beam", constructed
+    origin, best = min(seeds, key=lambda named: schedule_io_count(named[1]))
 
     steps = options.get("refine_steps", options.get("budget"))
     time_budget_s = options.get("time_budget_s")
@@ -176,7 +151,7 @@ def _anytime(problem: PebblingProblem, **options: object) -> Schedule:
         best,
         steps=None if steps is None else int(steps),
         time_budget_s=None if time_budget_s is None else float(time_budget_s),
-        seed=rng_seed,
+        seed=int(options.get("seed") or 0),
         origin=origin,
         on_improve=on_progress if callable(on_progress) else None,
     )

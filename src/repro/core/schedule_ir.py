@@ -133,6 +133,7 @@ class _DagData:
         "is_sink",
         "sinks",
         "edge_index",
+        "has_isolated",
     )
 
     def __init__(self, dag: ComputationalDAG) -> None:
@@ -157,6 +158,11 @@ class _DagData:
         for v in dag.sinks:
             self.is_sink[v] = 1
         self.sinks: Tuple[int, ...] = dag.sinks
+        # a game cannot start on such a DAG; DAG.validate_no_isolated() (which
+        # waives single-node graphs) raises the message when this is set
+        self.has_isolated = n > 1 and any(
+            not self.preds[v] and not self.outdeg[v] for v in range(n)
+        )
 
 
 _DAG_DATA_CACHE: "OrderedDict[int, Tuple[ComputationalDAG, _DagData]]" = OrderedDict()
@@ -773,7 +779,7 @@ def _prbp_scalar(
 # --------------------------------------------------------------------------- #
 
 
-def _check_ir_game(ir: ScheduleIR) -> None:
+def _check_ir_game(ir: ScheduleIR, data: _DagData) -> None:
     # mirror RBPGame/PRBPGame.__init__, in their order: such a game cannot start
     if ir.r < 1:
         raise ValueError(f"fast memory capacity must be >= 1, got {ir.r}")
@@ -781,7 +787,8 @@ def _check_ir_game(ir: ScheduleIR) -> None:
         raise ValueError(
             "the sliding variant only applies to RBP; PRBP partial computes are already in-place"
         )
-    ir.dag.validate_no_isolated()
+    if data.has_isolated:
+        ir.dag.validate_no_isolated()
 
 
 def _ir_rows(ir: ScheduleIR) -> List[MoveRow]:
@@ -794,8 +801,8 @@ def _bool_mask(raw: bytearray) -> np.ndarray:
 
 def replay(ir: ScheduleIR) -> ReplayOutcome:
     """Replay one IR through its game's loop (engine-equivalent verdicts)."""
-    _check_ir_game(ir)
     data = _dag_data(ir.dag)
+    _check_ir_game(ir, data)
     rows = _ir_rows(ir)
     if ir.game == "rbp":
         failed, io, cost, peak, terminal, (red, blue, computed) = _rbp_scalar(

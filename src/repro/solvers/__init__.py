@@ -1,12 +1,6 @@
 """Pebbling solvers: exact search, the paper's structured strategies, greedy baselines."""
 
-from .anytime import (
-    BEAM_NODE_LIMIT,
-    DEFAULT_REFINE_STEPS,
-    RefinementTrajectory,
-    beam_construct,
-    refine_schedule,
-)
+from .anytime import DEFAULT_REFINE_STEPS, RefinementTrajectory, refine_schedule
 from .baselines import naive_prbp_schedule, naive_rbp_schedule
 from .exhaustive import (
     DEFAULT_MAX_STATES,
@@ -35,10 +29,8 @@ from .structured import (
 )
 
 __all__ = [
-    "BEAM_NODE_LIMIT",
     "DEFAULT_REFINE_STEPS",
     "RefinementTrajectory",
-    "beam_construct",
     "refine_schedule",
     "naive_prbp_schedule",
     "naive_rbp_schedule",

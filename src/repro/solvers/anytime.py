@@ -31,12 +31,6 @@ Refinement operators
   window of the move list, the mutated schedule is replayed for legality,
   and the elision pass then harvests any round trip the reordering exposed.
 
-A small **beam-search constructor** (:func:`beam_construct`) over game
-configurations complements the local search on mid-size DAGs: it is seeded
-with the cost of the best greedy/structured schedule (used as a
-branch-and-bound ceiling) and returns a cheaper schedule when it finds one
-within its expansion budget.
-
 Determinism
 -----------
 All randomized operators draw from a single ``random.Random(seed)``; with a
@@ -56,9 +50,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.dag import ComputationalDAG
 from ..core.exceptions import PebblingError, SolverError
-from ..core.moves import MoveKind, PRBPMove, RBPMove
-from ..core.prbp import PRBPGame
-from ..core.rbp import RBPGame
+from ..core.moves import PRBPMove, RBPMove
 from ..core.schedule_ir import (
     OP_CLEAR,
     OP_COMPUTE,
@@ -79,10 +71,8 @@ from .greedy import greedy_rbp_rows, topological_prbp_rows
 
 __all__ = [
     "DEFAULT_REFINE_STEPS",
-    "BEAM_NODE_LIMIT",
     "RefinementTrajectory",
     "refine_schedule",
-    "beam_construct",
     "schedule_io_count",
 ]
 
@@ -99,11 +89,6 @@ Row = Tuple[int, int, int]
 #: budget is given.  Sized so the auto portfolio's final improvement pass
 #: stays in the low-millisecond range on quick-tier workloads.
 DEFAULT_REFINE_STEPS = 96
-
-#: Largest node count for which the beam-search constructor is attempted by
-#: default (branch-and-bound over full game configurations; past this size
-#: the local search alone is the better use of the budget).
-BEAM_NODE_LIMIT = 20
 
 #: Elision sweeps per phase — each sweep re-derives candidates after a
 #: successful removal, so the cap only guards against pathological inputs.
@@ -138,7 +123,7 @@ class RefinementTrajectory:
         RNG seed that drove the randomized operators.
     seed_solver:
         Provenance of the schedule the refinement started from (a registry
-        solver name, ``"beam"``, or ``"input"``).
+        solver name, or ``"input"``).
     """
 
     initial_cost: int
@@ -553,7 +538,7 @@ def refine_schedule(
         Mutation-attempt budget.  ``None`` means
         :data:`DEFAULT_REFINE_STEPS`, unless a wall-clock budget is given
         (then the clock alone bounds the search).  ``0`` disables every
-        operator and returns the input unchanged (with a trajectory).
+        operator and returns the input itself (with a trajectory).
     time_budget_s:
         Optional wall-clock ceiling in seconds.  Results produced under a
         wall-clock budget are machine-dependent and must not be cached.
@@ -577,7 +562,8 @@ def refine_schedule(
     Returns
     -------
     (schedule, trajectory):
-        The refined schedule — never costlier than the input — and the
+        The refined schedule — never costlier than the input, and the
+        input object itself when no mutation was accepted — and the
         :class:`RefinementTrajectory` describing the run.  Inside a solve
         the trajectory is also stored on the solve's
         :class:`~repro.obs.recorder.SolveRecorder`.
@@ -657,10 +643,15 @@ def refine_schedule(
             if trial_cost < best_cost:
                 on_accept(trial_rows, trial_cost)
 
-    description = schedule.description
+    # rows change only on a strictly cheaper accept, so an unimproved run
+    # hands back its input instead of decoding an identical copy
+    refined = schedule
     if best_cost < initial_cost:
-        description = f"anytime refinement of {origin} (seed={seed})"
-    refined = _make_schedule(schedule, decode_moves(game, best_rows), description)
+        refined = _make_schedule(
+            schedule,
+            decode_moves(game, best_rows),
+            f"anytime refinement of {origin} (seed={seed})",
+        )
     trajectory = RefinementTrajectory(
         initial_cost=initial_cost,
         refined_cost=best_cost,
@@ -675,130 +666,3 @@ def refine_schedule(
     if recorder is not None:
         recorder.refinement = trajectory
     return refined, trajectory
-
-
-# --------------------------------------------------------------------------- #
-# beam-search constructor
-# --------------------------------------------------------------------------- #
-
-
-def _beam_successor_moves(
-    game_state: Union[RBPGame, PRBPGame], branch: int, rng: random.Random
-) -> List[Move]:
-    """The most promising legal moves of a configuration, at most ``branch``.
-
-    Computes (free progress) come first, then saves, deletes and loads; ties
-    inside a priority class are broken by the seeded RNG so distinct beam
-    runs explore distinct orderings deterministically.
-    """
-    buckets: Dict[int, List[Move]] = {0: [], 1: [], 2: [], 3: []}
-    priority = {
-        MoveKind.COMPUTE: 0,
-        MoveKind.SAVE: 1,
-        MoveKind.DELETE: 2,
-        MoveKind.CLEAR: 2,
-        MoveKind.LOAD: 3,
-    }
-    for mv in game_state.legal_moves():
-        buckets[priority[mv.kind]].append(mv)
-    picked: List[Move] = []
-    for p in (0, 1, 2, 3):
-        bucket = buckets[p]
-        rng.shuffle(bucket)
-        picked.extend(bucket)
-        if len(picked) >= branch:
-            break
-    return picked[:branch]
-
-
-def _config_key(game_state: Union[RBPGame, PRBPGame]) -> Tuple:
-    if isinstance(game_state, RBPGame):
-        return (
-            frozenset(game_state.red),
-            frozenset(game_state.blue),
-            frozenset(game_state.computed),
-        )
-    return (tuple(game_state.state), tuple(game_state.marked))
-
-
-def beam_construct(
-    dag: ComputationalDAG,
-    r: int,
-    game: str,
-    variant: GameVariant,
-    *,
-    upper_bound: int,
-    width: int = 6,
-    branch: int = 6,
-    max_expansions: int = 2000,
-    seed: int = 0,
-) -> Optional[Schedule]:
-    """Beam search over game configurations, pruned by a known upper bound.
-
-    The beam keeps at most ``width`` configurations per depth (deduplicated
-    by configuration, cheapest-first by ``io_cost`` plus the number of sinks
-    still lacking a blue pebble — an admissible completion estimate).  Any
-    state whose cost floor reaches ``upper_bound`` is dropped, so the
-    constructor can only ever return a schedule *strictly cheaper* than the
-    greedy/structured seed it was given; it returns ``None`` when the budget
-    runs out first.
-    """
-    if upper_bound <= 0:
-        return None
-    rng = random.Random(seed)
-    try:
-        start: Union[RBPGame, PRBPGame] = (
-            RBPGame(dag, r, variant=variant)
-            if game == "rbp"
-            else PRBPGame(dag, r, variant=variant)
-        )
-    except ValueError:
-        return None
-
-    def floor(state: Union[RBPGame, PRBPGame]) -> int:
-        missing_sinks = sum(
-            1
-            for v in dag.sinks
-            if (v not in state.blue if game == "rbp" else not state.node_state(v).has_blue)
-        )
-        return state.io_cost + missing_sinks
-
-    beam: List[Union[RBPGame, PRBPGame]] = [start]
-    best: Optional[Schedule] = None
-    best_cost = upper_bound
-    expansions = 0
-    depth_limit = 4 * (dag.n + dag.m) + 8
-    for _ in range(depth_limit):
-        scored: Dict[Tuple, Union[RBPGame, PRBPGame]] = {}
-        for state in beam:
-            for mv in _beam_successor_moves(state, branch, rng):
-                expansions += 1
-                succ = state.copy()
-                try:
-                    succ.apply(mv)
-                except PebblingError:  # pragma: no cover — legal_moves is exact
-                    continue
-                if floor(succ) >= best_cost:
-                    continue
-                if succ.is_terminal():
-                    assert succ.history is not None
-                    moves = list(succ.history)
-                    best_cost = succ.io_cost
-                    best = (
-                        RBPSchedule(dag, r, moves, variant=variant, description="beam search")
-                        if game == "rbp"
-                        else PRBPSchedule(
-                            dag, r, moves, variant=variant, description="beam search"
-                        )
-                    )
-                    continue
-                key = _config_key(succ)
-                kept = scored.get(key)
-                if kept is None or succ.io_cost < kept.io_cost:
-                    scored[key] = succ
-            if expansions >= max_expansions:
-                return best
-        if not scored:
-            break
-        beam = sorted(scored.values(), key=floor)[:width]
-    return best

@@ -155,6 +155,17 @@ class TestRefinementContracts:
         assert trajectory.steps == 0 and trajectory.accepted == 0
         assert trajectory.initial_cost == trajectory.refined_cost == greedy.cost
 
+    def test_unimproved_refinement_returns_the_input_itself(self):
+        # rows change only on a strictly cheaper accept, so a run that
+        # accepts nothing hands back its input rather than a decoded copy
+        dag = random_dag(8, edge_probability=0.35, seed=0)
+        greedy = solve(PebblingProblem(dag, 3, game="prbp"), solver="greedy")
+        refined, trajectory = refine_schedule(greedy.schedule, steps=0, seed=0)
+        assert refined is greedy.schedule
+        refined, trajectory = refine_schedule(greedy.schedule, steps=32, seed=0)
+        assert trajectory.steps == 32 and trajectory.accepted == 0
+        assert refined is greedy.schedule
+
     def test_illegal_input_schedule_is_rejected(self):
         dag = random_dag(6, edge_probability=0.4, seed=7)
         greedy = solve(PebblingProblem(dag, 3, game="prbp"), solver="greedy")

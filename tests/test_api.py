@@ -421,6 +421,25 @@ class TestSolveBoundary:
         assert constructed == []
         assert replays == [game]
 
+    @pytest.mark.parametrize("game", ["rbp", "prbp"])
+    def test_anytime_solver_builds_no_game_engine(self, monkeypatch, game):
+        # the explicit anytime solver on a DAG of at most 20 nodes: seeds,
+        # refinement and validation all run on IR rows and the kernel
+        constructed = []
+        for game_cls in (RBPGame, PRBPGame):
+            original = game_cls.__init__
+
+            def counting_init(self, *args, _original=original, **kwargs):
+                constructed.append(type(self).__name__)
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(game_cls, "__init__", counting_init)
+        dag = random_layered_dag((4, 6, 6, 4), 0.3, max_in_degree=3, seed=7)
+        assert dag.n == 20
+        result = solve(PebblingProblem(dag, r=4, game=game), solver="anytime", seed=0)
+        assert result.solver == "anytime"
+        assert constructed == []
+
     def test_refinement_inside_solve_trusts_the_engine_verified_cost(self, monkeypatch):
         # the verified cost is _run's stats() replay (the kernel); the
         # refiner trusts it instead of replaying its input again
