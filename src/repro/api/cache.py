@@ -44,12 +44,10 @@ from typing import Mapping, Optional, Union
 
 from ..core.canonical import dag_digest
 from ..core.schedule_ir import (
-    from_schedule,
     ir_digest,
     ir_from_arrays,
     kernel_stats,
     pack_arrays,
-    to_schedule,
     unpack_arrays,
 )
 from ..core.strategy import ScheduleStats
@@ -445,15 +443,15 @@ class ResultCache:
             self._count("io_error")
 
     def _encode_entry(self, digest: str, result: SolveResult) -> dict:
-        """The v3 on-disk document: schedule as packed IR columns, not Moves."""
-        ir = from_schedule(result.schedule)
+        """The v3 on-disk document: the schedule's rows as packed columns."""
+        schedule = result.schedule
         return {
             "format": CACHE_FORMAT_VERSION,
             "digest": digest,
             "problem": result.problem,
-            "arrays": pack_arrays(ir),
-            "ir_digest": ir_digest(ir),
-            "description": ir.description,
+            "arrays": pack_arrays(schedule),
+            "ir_digest": ir_digest(schedule),
+            "description": schedule.description,
             "stats": result.stats,
             "solver": result.solver,
             "exact_solver": bool(result.exact_solver),
@@ -479,7 +477,7 @@ class ResultCache:
         if not isinstance(stored_problem, PebblingProblem) or stored_problem != problem:
             raise ValueError("stored problem differs from the requested one")
         op, node, arg = unpack_arrays(doc["arrays"])
-        ir = ir_from_arrays(
+        schedule = ir_from_arrays(
             problem.game,
             problem.dag,
             problem.r,
@@ -489,17 +487,17 @@ class ResultCache:
             arg,
             description=str(doc.get("description", "")),
         )
-        if ir_digest(ir) != doc.get("ir_digest"):
+        if ir_digest(schedule) != doc.get("ir_digest"):
             raise ValueError("schedule columns do not match the stored digest")
         stats = doc["stats"]
         if not isinstance(stats, ScheduleStats):
             raise ValueError("entry carries no replay statistics")
-        replayed = kernel_stats(ir)  # raises on an illegal/incomplete schedule
+        replayed = kernel_stats(schedule)  # raises on an illegal/incomplete schedule
         if replayed != stats:
             raise ValueError("replayed statistics differ from the stored ones")
         return SolveResult(
             problem=problem,
-            schedule=to_schedule(ir),
+            schedule=schedule,
             stats=stats,
             solver=str(doc["solver"]),
             exact_solver=bool(doc["exact_solver"]),

@@ -49,7 +49,7 @@ from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from ..core.exceptions import SolverError
-from ..core.schedule_ir import from_schedule, kernel_stats
+from ..core.schedule_ir import kernel_stats
 from ..obs.recorder import recording
 from ..obs.telemetry import SolveTelemetry, get_telemetry_log
 from ..obs.tracing import get_tracer
@@ -163,7 +163,7 @@ def _apply_refinement(result: SolveResult, **options: object) -> SolveResult:
     old = result.solve_stats
     solve_stats = replace(old, wall_time_s=old.wall_time_s + extra, refinement=trajectory)
     if trajectory.refined_cost < trajectory.initial_cost:
-        stats = kernel_stats(from_schedule(refined))
+        stats = kernel_stats(refined)
         return replace(result, schedule=refined, stats=stats, solve_stats=solve_stats)
     return replace(result, solve_stats=solve_stats)
 

@@ -10,11 +10,11 @@ implementations race over the *same* deterministic batch of schedules:
   into ``RBPMove``/``PRBPMove`` objects and replayed move by move through a
   fresh ``RBPGame``/``PRBPGame`` (per-move Python dispatch), counting move
   kinds and peak red as it goes;
-* **kernel** — the columnar path: the packed base64 columns of
+* **kernel** — the row path: the packed base64 columns of
   :mod:`repro.core.schedule_ir` are decoded with :func:`unpack_arrays`,
-  validated by :func:`ir_from_arrays`, and replayed one schedule at a time
-  through :func:`replay` (the scalar loop of the schedule's game), with
-  per-schedule move-kind counts read off via ``np.bincount``.
+  checked into a schedule's rows by :func:`ir_from_arrays`, and replayed
+  one schedule at a time by :func:`kernel_stats` (the scalar loop of the
+  schedule's game plus the per-kind move counts ``stats()`` reports).
 
 Both sides accumulate the replayed I/O costs; the accumulators must agree,
 so the benchmark is also a differential check.  The batch is the greedy/
@@ -35,22 +35,18 @@ import random
 import time
 from typing import Dict, List, Sequence, Tuple, Union
 
-import numpy as np
-
 from ..core.dag import ComputationalDAG
-from ..core.moves import MoveKind, PRBPMove, RBPMove
+from ..core.moves import OP_NAMES, MoveKind, PRBPMove, RBPMove
 from ..core.prbp import PRBPGame
 from ..core.rbp import RBPGame
 from ..core.schedule_ir import (
-    ScheduleIR,
-    from_schedule,
     ir_from_arrays,
+    kernel_stats,
     pack_arrays,
     replay,
-    to_schedule,
     unpack_arrays,
 )
-from ..core.strategy import ScheduleStats
+from ..core.strategy import PRBPSchedule, RBPSchedule, ScheduleStats
 from ..core.variants import GameVariant
 from ..dags.fft import fft_dag
 from ..dags.linalg import matvec_dag
@@ -60,8 +56,10 @@ from .scenario import BenchScenario, ScenarioTier, register_scenario
 
 __all__ = ["register_replay_scenarios", "run_replay_throughput"]
 
+Schedule = Union[RBPSchedule, PRBPSchedule]
 
-def _legal_swap_variants(base: ScheduleIR, count: int, seed: int) -> List[ScheduleIR]:
+
+def _legal_swap_variants(base: Schedule, count: int, seed: int) -> List[Schedule]:
     """``base`` plus seeded adjacent-swap variants, filtered to legal+terminal.
 
     Roughly a quarter of random adjacent transpositions of a greedy schedule
@@ -70,7 +68,7 @@ def _legal_swap_variants(base: ScheduleIR, count: int, seed: int) -> List[Schedu
     for a fixed (base, count, seed).
     """
     rng = random.Random(seed)
-    rows = list(zip(base.op.tolist(), base.node.tolist(), base.arg.tolist()))
+    rows = base.rows
     keep = [base]
     tries = 0
     while len(keep) < count and tries < count * 30:
@@ -80,32 +78,18 @@ def _legal_swap_variants(base: ScheduleIR, count: int, seed: int) -> List[Schedu
             k = rng.randrange(len(rows) - 1)
             mutated = list(rows)
             mutated[k], mutated[k + 1] = mutated[k + 1], mutated[k]
-            op, node, arg = (np.array(col, dtype=np.int32) for col in zip(*mutated))
-            batch.append(
-                ir_from_arrays(base.game, base.dag, base.r, base.variant, op, node, arg)
-            )
-        keep.extend(ir for ir in batch if replay(ir).ok)
+            batch.append(type(base).from_rows(base.dag, base.r, mutated, base.variant))
+        keep.extend(schedule for schedule in batch if replay(schedule).ok)
     return keep[:count]
 
 
-def _engine_wire_doc(ir: ScheduleIR) -> List[List[object]]:
-    """A per-move JSON list of a schedule (the engine input)."""
-    schedule = to_schedule(ir)
-    items: List[List[object]] = []
-    if ir.game == "rbp":
-        for mv in schedule.moves:
-            if mv.kind is MoveKind.COMPUTE and mv.slide_from is not None:
-                items.append([mv.kind.value, mv.node, mv.slide_from])
-            else:
-                items.append([mv.kind.value, mv.node])
-    else:
-        for mv in schedule.moves:
-            if mv.kind is MoveKind.COMPUTE:
-                assert mv.edge is not None
-                items.append([mv.kind.value, mv.edge[0], mv.edge[1]])
-            else:
-                items.append([mv.kind.value, mv.node])
-    return items
+def _engine_wire_doc(schedule: Schedule) -> List[List[object]]:
+    """A per-move JSON list of a schedule (the engine input).
+
+    ``[kind, node]``, or ``[kind, node, arg]`` for an RBP sliding compute
+    (``arg`` is the slide source) and a PRBP compute (the edge ``(node, arg)``).
+    """
+    return [[OP_NAMES[op], x] if y < 0 else [OP_NAMES[op], x, y] for op, x, y in schedule.rows]
 
 
 def _replay_stats(game: Union[RBPGame, PRBPGame], moves: Sequence) -> ScheduleStats:
@@ -177,12 +161,7 @@ def _kernel_validate(
     total = 0
     for doc in docs:
         op, node, arg = unpack_arrays(doc)
-        ir = ir_from_arrays(game, dag, r, variant, op, node, arg)
-        out = replay(ir)
-        if not out.ok:
-            raise RuntimeError("a pre-filtered replay-bench schedule failed to replay")
-        np.bincount(ir.op, minlength=5)  # the per-kind counts stats() reports
-        total += out.io_cost
+        total += kernel_stats(ir_from_arrays(game, dag, r, variant, op, node, arg)).io_cost
     return total
 
 
@@ -213,15 +192,16 @@ def run_replay_throughput(
 
     dag = scenario.dag_factory(*spec.dag_args, **dict(spec.dag_kwargs))
     r = spec.capacity(dag)
+    base: Schedule
     if scenario.game == "rbp":
-        base = from_schedule(greedy_rbp_schedule(dag, r, variant=scenario.variant))
+        base = greedy_rbp_schedule(dag, r, variant=scenario.variant)
     else:
-        base = from_schedule(topological_prbp_schedule(dag, r, variant=scenario.variant))
-    irs = _legal_swap_variants(base, schedule_count, seed=seed)
+        base = topological_prbp_schedule(dag, r, variant=scenario.variant)
+    schedules = _legal_swap_variants(base, schedule_count, seed=seed)
 
     # both wire forms are produced untimed: the race starts at "bytes in hand"
-    kernel_docs = [pack_arrays(ir) for ir in irs]
-    engine_docs = [_engine_wire_doc(ir) for ir in irs]
+    kernel_docs = [pack_arrays(schedule) for schedule in schedules]
+    engine_docs = [_engine_wire_doc(schedule) for schedule in schedules]
 
     # The two sides are timed back-to-back inside each repeat (so their best
     # observations come from adjacent time windows) and the speedup is the
@@ -259,11 +239,11 @@ def run_replay_throughput(
         r=r,
         wall_time_s=kernel_s,
         io_cost=int(kernel_total),  # deterministic batch => sharply comparable
-        moves=sum(len(ir) for ir in irs),
+        moves=sum(len(schedule) for schedule in schedules),
         expected_ok=speedup >= min_speedup,
         replay_speedup=speedup,
-        replay_schedules_per_s=len(irs) / kernel_s if kernel_s > 0 else None,
-        replay_engine_schedules_per_s=len(irs) / engine_s if engine_s > 0 else None,
+        replay_schedules_per_s=len(schedules) / kernel_s if kernel_s > 0 else None,
+        replay_engine_schedules_per_s=len(schedules) / engine_s if engine_s > 0 else None,
     )
 
 

@@ -20,7 +20,7 @@ from .pebbles import PRBPState
 from .prbp import PRBPGame, is_valid_prbp_schedule, prbp_schedule_cost, run_prbp_schedule
 from .rbp import RBPGame, is_valid_rbp_schedule, rbp_schedule_cost, run_rbp_schedule
 from .strategy import PRBPSchedule, RBPSchedule, ScheduleStats
-from .conversion import convert_rbp_to_prbp, convert_rbp_moves_to_prbp_moves
+from .conversion import convert_rbp_to_prbp
 from .variants import NO_DELETE, ONE_SHOT, RECOMPUTE, SLIDING, GameVariant
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "PRBPSchedule",
     "ScheduleStats",
     "convert_rbp_to_prbp",
-    "convert_rbp_moves_to_prbp_moves",
     "GameVariant",
     "ONE_SHOT",
     "RECOMPUTE",

@@ -6,9 +6,10 @@ node ``v`` is replaced by (at most) ``deg_in(v)`` consecutive partial compute
 steps, one per in-edge; loads, saves and deletes translate one-to-one.  This
 immediately gives ``OPT_PRBP <= OPT_RBP`` whenever ``r >= Δ_in + 1``.
 
-The translation is purely syntactic: it never replays a schedule.  A
-legal RBP schedule converts into a legal PRBP schedule; replaying the
-result (``validate``, ``cost`` or ``stats``) is the check, and
+The translation is purely syntactic: it maps the ``(op, node, arg)`` rows
+of the RBP schedule to PRBP rows and never replays anything.  A legal RBP
+schedule converts into a legal PRBP schedule; replaying the result
+(``validate``, ``cost`` or ``stats``) is the check, and
 :func:`repro.api.solve` does so once per solve.  Three details need care:
 
 * In RBP, a red pebble on ``v`` means "the final value of ``v`` is in fast
@@ -35,60 +36,49 @@ from __future__ import annotations
 
 from typing import List, Set
 
-from .dag import ComputationalDAG
 from .exceptions import IllegalMoveError
-from .moves import MoveKind, PRBPMove, RBPMove
+from .moves import OP_COMPUTE, OP_DELETE, OP_LOAD, OP_NAMES, OP_SAVE, MoveRow
 from .strategy import PRBPSchedule, RBPSchedule
 from .variants import GameVariant
 
-__all__ = ["convert_rbp_to_prbp", "convert_rbp_moves_to_prbp_moves"]
-
-
-def convert_rbp_moves_to_prbp_moves(
-    dag: ComputationalDAG, moves: List[RBPMove]
-) -> List[PRBPMove]:
-    """Translate an RBP move list into a PRBP move list of equal I/O cost.
-
-    Redundant saves become loads, as described in the module docstring.
-    Nothing is replayed here.
-    """
-    out: List[PRBPMove] = []
-    light_red: Set[int] = set()  # nodes whose red pebble came from a load or a save
-    for mv in moves:
-        if mv.kind is MoveKind.LOAD:
-            out.append(PRBPMove(MoveKind.LOAD, node=mv.node))
-            light_red.add(mv.node)
-        elif mv.kind is MoveKind.SAVE:
-            redundant = mv.node in light_red
-            out.append(PRBPMove(MoveKind.LOAD if redundant else MoveKind.SAVE, node=mv.node))
-            light_red.add(mv.node)
-        elif mv.kind is MoveKind.DELETE:
-            out.append(PRBPMove(MoveKind.DELETE, node=mv.node))
-            light_red.discard(mv.node)
-        elif mv.kind is MoveKind.COMPUTE:
-            if mv.slide_from is not None:
-                raise IllegalMoveError(
-                    "cannot convert a sliding compute move to PRBP (Proposition 4.1 applies "
-                    "to the standard compute rule only)"
-                )
-            for u in dag.predecessors(mv.node):
-                out.append(PRBPMove(MoveKind.COMPUTE, edge=(u, mv.node)))
-            light_red.discard(mv.node)
-        else:  # pragma: no cover - RBP moves cannot be CLEAR
-            raise IllegalMoveError(f"unexpected RBP move kind {mv.kind!r}")
-    return out
+__all__ = ["convert_rbp_to_prbp"]
 
 
 def convert_rbp_to_prbp(schedule: RBPSchedule) -> PRBPSchedule:
     """Convert an RBP schedule into a PRBP schedule of the same I/O cost.
 
+    Redundant saves become loads, as described in the module docstring.
     Nothing is replayed here: a legal ``schedule`` gives a legal result, and
     the result's ``validate``/``cost``/``stats`` replay it.
     """
-    return PRBPSchedule(
-        dag=schedule.dag,
-        r=schedule.r,
-        moves=convert_rbp_moves_to_prbp_moves(schedule.dag, schedule.moves),
+    preds = schedule.dag.predecessors
+    rows: List[MoveRow] = []
+    light_red: Set[int] = set()  # nodes whose red pebble came from a load or a save
+    for row in schedule.rows:
+        op, v, slide = row
+        if op == OP_COMPUTE:
+            if slide >= 0:
+                raise IllegalMoveError(
+                    "cannot convert a sliding compute move to PRBP (Proposition 4.1 applies "
+                    "to the standard compute rule only)"
+                )
+            rows.extend([(OP_COMPUTE, u, v) for u in preds(v)])
+            light_red.discard(v)
+        elif op == OP_SAVE:
+            rows.append((OP_LOAD, v, -1) if v in light_red else row)
+            light_red.add(v)
+        elif op == OP_LOAD:
+            rows.append(row)
+            light_red.add(v)
+        elif op == OP_DELETE:
+            rows.append(row)
+            light_red.discard(v)
+        else:  # RBP has no clear rule
+            raise IllegalMoveError(f"unexpected RBP move kind {OP_NAMES[op]!r}")
+    return PRBPSchedule.from_rows(
+        schedule.dag,
+        schedule.r,
+        rows,
         variant=GameVariant(
             one_shot=schedule.variant.one_shot,
             allow_delete=schedule.variant.allow_delete,

@@ -35,15 +35,50 @@ kind      meaning
 
 I/O moves (``load``/``save``) have unit cost; ``compute``/``delete``/``clear``
 are free unless a compute-cost variant is configured on the engine.
+
+Rows
+----
+
+Schedules store their moves as ``(op, node, arg)`` int rows, the form every
+builder emits and the replay kernel reads.  The encoding is lossless for
+both games:
+
+========= ======================= =========================================
+op code    RBP row                 PRBP row
+========= ======================= =========================================
+``0`` load    ``(0, v, -1)``         ``(0, v, -1)``
+``1`` save    ``(1, v, -1)``         ``(1, v, -1)``
+``2`` compute ``(2, v, slide|-1)``   ``(2, u, v)`` (partial compute on edge)
+``3`` delete  ``(3, v, -1)``         ``(3, v, -1)``
+``4`` clear   (illegal in RBP)       ``(4, v, -1)``
+========= ======================= =========================================
+
+:func:`encode_moves` and :func:`decode_moves` translate between Move objects
+and rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-__all__ = ["MoveKind", "RBPMove", "PRBPMove", "rbp", "prbp"]
+__all__ = [
+    "MoveKind",
+    "RBPMove",
+    "PRBPMove",
+    "rbp",
+    "prbp",
+    "MoveRow",
+    "OP_LOAD",
+    "OP_SAVE",
+    "OP_COMPUTE",
+    "OP_DELETE",
+    "OP_CLEAR",
+    "OP_NAMES",
+    "encode_moves",
+    "decode_moves",
+]
 
 
 class MoveKind(str, Enum):
@@ -174,3 +209,71 @@ class prbp:
     def clear(node: int) -> PRBPMove:
         """Rule 5 of the re-computation variant: reset a node for re-computation."""
         return PRBPMove(MoveKind.CLEAR, node=node)
+
+
+# --------------------------------------------------------------------------- #
+# rows: the (op, node, arg) encoding of moves
+# --------------------------------------------------------------------------- #
+
+MoveRow = Tuple[int, int, int]
+
+OP_LOAD = 0
+OP_SAVE = 1
+OP_COMPUTE = 2
+OP_DELETE = 3
+OP_CLEAR = 4
+
+OP_NAMES = ("load", "save", "compute", "delete", "clear")
+
+_KIND_OF_OP: Tuple[MoveKind, ...] = (
+    MoveKind.LOAD,
+    MoveKind.SAVE,
+    MoveKind.COMPUTE,
+    MoveKind.DELETE,
+    MoveKind.CLEAR,
+)
+
+_OP_OF_KIND: Dict[MoveKind, int] = {kind: op for op, kind in enumerate(_KIND_OF_OP)}
+
+
+def encode_moves(game: str, moves: Iterable[Union[RBPMove, PRBPMove]]) -> List[MoveRow]:
+    """Moves -> ``(op, node, arg)`` int rows.
+
+    The mapping is a bijection: ``decode_moves(game, encode_moves(game,
+    moves))`` reproduces ``moves`` exactly, so row tuples can stand in for
+    Move objects anywhere identity matters (candidate signatures, dedup).
+    """
+    rows: List[MoveRow] = []
+    if game == "rbp":
+        for mv in moves:
+            slide = mv.slide_from  # type: ignore[union-attr]
+            rows.append((_OP_OF_KIND[mv.kind], mv.node, -1 if slide is None else slide))  # type: ignore[arg-type]
+    else:
+        for mv in moves:
+            if mv.kind is MoveKind.COMPUTE:
+                u, v = mv.edge  # type: ignore[union-attr, misc]
+                rows.append((OP_COMPUTE, u, v))
+            else:
+                rows.append((_OP_OF_KIND[mv.kind], mv.node, -1))  # type: ignore[arg-type]
+    return rows
+
+
+def decode_moves(game: str, rows: Iterable[Sequence[int]]) -> List[Union[RBPMove, PRBPMove]]:
+    """``(op, node, arg)`` rows -> Move objects; raises ``ValueError`` on malformed rows."""
+    moves: List[Union[RBPMove, PRBPMove]] = []
+    for row in rows:
+        op, x, y = int(row[0]), int(row[1]), int(row[2])
+        if not 0 <= op < len(_KIND_OF_OP):
+            raise ValueError(f"unknown op code {op}")
+        kind = _KIND_OF_OP[op]
+        if game == "rbp":
+            moves.append(RBPMove(kind, x, None if y < 0 else y))
+        elif op == OP_COMPUTE:
+            if y < 0:
+                raise ValueError(f"a PRBP compute row needs an edge head, got arg={y}")
+            moves.append(PRBPMove(kind, edge=(x, y)))
+        else:
+            if y != -1:
+                raise ValueError(f"a PRBP {kind.value} row must carry arg=-1, got {y}")
+            moves.append(PRBPMove(kind, node=x))
+    return moves

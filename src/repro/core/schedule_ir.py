@@ -1,22 +1,10 @@
-"""Columnar schedule IR + replay kernel: engine-equivalent, without Move objects.
+"""Schedule IR + replay kernel: engine-equivalent, without Move objects.
 
-A schedule is stored as three parallel ``int32`` numpy columns — ``op``,
-``node``, ``arg`` — plus a small header (DAG, capacity, game, variant,
-description).  The encoding is *lossless* for both games:
-
-========= ======================= =========================================
-op code    RBP row                 PRBP row
-========= ======================= =========================================
-``0`` load    ``(0, v, -1)``         ``(0, v, -1)``
-``1`` save    ``(1, v, -1)``         ``(1, v, -1)``
-``2`` compute ``(2, v, slide|-1)``   ``(2, u, v)`` (partial compute on edge)
-``3`` delete  ``(3, v, -1)``         ``(3, v, -1)``
-``4`` clear   (illegal in RBP)       ``(4, v, -1)``
-========= ======================= =========================================
-
-:func:`from_schedule` / :func:`to_schedule` convert between the IR and the
-:class:`~repro.core.strategy.RBPSchedule` / ``PRBPSchedule`` containers;
-``to_schedule(from_schedule(s))`` reproduces the move list exactly.
+A schedule *is* its ``(op, node, arg)`` int rows: ``RBPSchedule`` /
+``PRBPSchedule`` hold them together with a small header (DAG, capacity,
+game, variant, description).  The row encoding, lossless for both games,
+is tabled in :mod:`repro.core.moves`; this module re-exports its op codes
+and its Move codec (:func:`encode_moves` / :func:`decode_moves`).
 
 The replay kernel reproduces every legality rule of the engines —
 capacity, predecessor availability, one-shot / no-deletion / sliding
@@ -28,17 +16,19 @@ peak red usage, terminality) is identical to what ``RBPGame`` /
 kernel is a proven-equivalent fast path.
 
 Each game has exactly one replay loop over plain int rows (no Move-object
-dispatch, no set churn): :func:`replay` wraps it into a full
-:class:`ReplayOutcome`, and :func:`replay_io_cost` — what the anytime
-refiner scores every mutation with — reads only the verdict and the I/O.
-A loop can also resume from a :class:`ReplayState` (made by
-:func:`start_state`, moved forward by :func:`advance`), so a mutation that
-leaves a prefix untouched is scored on its suffix alone.
+dispatch, no set churn): :func:`replay` runs it over a schedule's rows and
+wraps the result into a full :class:`ReplayOutcome`, and
+:func:`replay_io_cost` — what the anytime refiner scores every mutation
+with — reads only the verdict and the I/O.  A loop can also resume from a
+:class:`ReplayState` (made by :func:`start_state`, moved forward by
+:func:`advance`), so a mutation that leaves a prefix untouched is scored on
+its suffix alone.
 
-The IR is also the interchange format of the cache and the wire protocol:
-:func:`pack_arrays` / :func:`unpack_arrays` implement the shared base64
-``int32`` little-endian codec, and :func:`ir_digest` fingerprints header +
-columns for round-trip tests.
+The rows, as three ``int32`` columns, are also the interchange format of
+the cache and the wire protocol: :func:`pack_arrays` / :func:`unpack_arrays`
+implement the shared base64 ``int32`` little-endian codec,
+:func:`ir_from_arrays` checks untrusted columns back into a schedule, and
+:func:`ir_digest` fingerprints header + columns for round-trip tests.
 """
 
 from __future__ import annotations
@@ -48,13 +38,24 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
 from .dag import ComputationalDAG
 from .exceptions import IllegalMoveError, IncompletePebblingError
-from .moves import MoveKind, PRBPMove, RBPMove
+from .moves import (
+    OP_CLEAR,
+    OP_COMPUTE,
+    OP_DELETE,
+    OP_LOAD,
+    OP_NAMES,
+    OP_SAVE,
+    MoveRow,
+    decode_moves,
+    encode_moves,
+)
 from .strategy import PRBPSchedule, RBPSchedule, ScheduleStats
 from .variants import GameVariant
 
@@ -65,10 +66,8 @@ __all__ = [
     "OP_DELETE",
     "OP_CLEAR",
     "OP_NAMES",
-    "ScheduleIR",
+    "MoveRow",
     "ReplayOutcome",
-    "from_schedule",
-    "to_schedule",
     "encode_moves",
     "decode_moves",
     "replay",
@@ -80,37 +79,15 @@ __all__ = [
     "ir_digest",
     "pack_arrays",
     "unpack_arrays",
+    "ir_from_arrays",
 ]
 
 Schedule = Union[RBPSchedule, PRBPSchedule]
-Move = Union[RBPMove, PRBPMove]
-MoveRow = Tuple[int, int, int]
 
-OP_LOAD = 0
-OP_SAVE = 1
-OP_COMPUTE = 2
-OP_DELETE = 3
-OP_CLEAR = 4
-
-OP_NAMES = ("load", "save", "compute", "delete", "clear")
-
-_OP_OF_KIND: Dict[MoveKind, int] = {
-    MoveKind.LOAD: OP_LOAD,
-    MoveKind.SAVE: OP_SAVE,
-    MoveKind.COMPUTE: OP_COMPUTE,
-    MoveKind.DELETE: OP_DELETE,
-    MoveKind.CLEAR: OP_CLEAR,
+_SCHEDULE_OF_GAME: Dict[str, Union[Type[RBPSchedule], Type[PRBPSchedule]]] = {
+    "rbp": RBPSchedule,
+    "prbp": PRBPSchedule,
 }
-
-_KIND_OF_OP: Tuple[MoveKind, ...] = (
-    MoveKind.LOAD,
-    MoveKind.SAVE,
-    MoveKind.COMPUTE,
-    MoveKind.DELETE,
-    MoveKind.CLEAR,
-)
-
-_GAMES = ("rbp", "prbp")
 
 
 # --------------------------------------------------------------------------- #
@@ -194,219 +171,63 @@ def _dag_data(dag: ComputationalDAG) -> _DagData:
 
 
 # --------------------------------------------------------------------------- #
-# IR container and converters
+# row checks, digest and the wire / cache codec of the columns
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True, eq=False)
-class ScheduleIR:
-    """A schedule as three parallel int32 columns plus its header.
+def _validate_rows(game: str, n: int, rows: Sequence[MoveRow]) -> List[int]:
+    """Check that every row encodes a move, and count the rows per op code.
 
-    ``op[i]``/``node[i]``/``arg[i]`` describe move ``i`` per the table in
-    the module docstring.  The columns are read-only by convention — every
-    consumer treats an IR as immutable (the digest would drift otherwise).
+    A row needs a known op code and an in-range node; ``arg`` is ``-1``
+    except on a compute, where it is an in-range edge head (PRBP) or ``-1``
+    / a slide source (RBP).  The loops index flat per-node tables, so they
+    only ever see checked rows.  A non-edge ``(u, v)`` stays representable:
+    it is an *illegal move*, which the replay refuses like the engine does.
+    Raises ``ValueError`` naming the first row that is not a move.
     """
-
-    game: str
-    dag: ComputationalDAG
-    r: int
-    variant: GameVariant
-    op: np.ndarray
-    node: np.ndarray
-    arg: np.ndarray
-    description: str = ""
-
-    def __len__(self) -> int:
-        return int(self.op.shape[0])
-
-    @property
-    def n(self) -> int:
-        return self.dag.n
-
-
-def _as_column(values: Sequence[int]) -> np.ndarray:
-    return np.asarray(values, dtype=np.int32)
-
-
-def encode_moves(game: str, moves: Iterable[Move]) -> List[MoveRow]:
-    """Moves -> ``(op, node, arg)`` int rows (the refiner's working form).
-
-    The mapping is a bijection: ``decode_moves(game, encode_moves(game,
-    moves))`` reproduces ``moves`` exactly, so row tuples can stand in for
-    Move objects anywhere identity matters (candidate signatures, dedup).
-    """
-    rows: List[MoveRow] = []
-    if game == "rbp":
-        for mv in moves:
-            slide = mv.slide_from  # type: ignore[union-attr]
-            rows.append((_OP_OF_KIND[mv.kind], mv.node, -1 if slide is None else slide))  # type: ignore[arg-type]
+    arg_lo = -1 if game == "rbp" else 0
+    compute, last_op = OP_COMPUTE, len(OP_NAMES) - 1
+    counts = [0] * len(OP_NAMES)
+    # one fused test per row for the all-valid case; the scan below only
+    # runs to name the first offending row
+    for op, x, y in rows:
+        if not (
+            0 <= op <= last_op
+            and 0 <= x < n
+            and (arg_lo <= y < n if op == compute else y == -1)
+        ):
+            break
+        counts[op] += 1
     else:
-        for mv in moves:
-            if mv.kind is MoveKind.COMPUTE:
-                u, v = mv.edge  # type: ignore[union-attr, misc]
-                rows.append((OP_COMPUTE, u, v))
-            else:
-                rows.append((_OP_OF_KIND[mv.kind], mv.node, -1))  # type: ignore[arg-type]
-    return rows
-
-
-def decode_moves(game: str, rows: Iterable[Sequence[int]]) -> List[Move]:
-    """``(op, node, arg)`` rows -> Move objects; raises ``ValueError`` on malformed rows."""
-    moves: List[Move] = []
-    for row in rows:
-        op, x, y = int(row[0]), int(row[1]), int(row[2])
-        if not 0 <= op < len(_KIND_OF_OP):
-            raise ValueError(f"unknown op code {op}")
-        kind = _KIND_OF_OP[op]
-        if game == "rbp":
-            moves.append(RBPMove(kind, x, None if y < 0 else y))
-        elif op == OP_COMPUTE:
-            if y < 0:
-                raise ValueError(f"a PRBP compute row needs an edge head, got arg={y}")
-            moves.append(PRBPMove(kind, edge=(x, y)))
-        else:
-            if y != -1:
-                raise ValueError(f"a PRBP {kind.value} row must carry arg=-1, got {y}")
-            moves.append(PRBPMove(kind, node=x))
-    return moves
-
-
-def _validate_rows(game: str, n: int, rows: Sequence[MoveRow]) -> None:
+        return counts
     for i, (op, x, y) in enumerate(rows):
-        if not 0 <= op < len(_KIND_OF_OP):
+        if not 0 <= op <= last_op:
             raise ValueError(f"move {i}: unknown op code {op}")
         if not 0 <= x < n:
             raise ValueError(f"move {i}: node {x} out of range (n = {n})")
-        if game == "rbp":
-            if op == OP_COMPUTE:
-                if not -1 <= y < n:
-                    raise ValueError(f"move {i}: slide_from {y} out of range (n = {n})")
-            elif y != -1:
+        if op != compute:
+            if y != -1:
                 raise ValueError(f"move {i}: {OP_NAMES[op]} rows must carry arg=-1, got {y}")
-        else:
-            if op == OP_COMPUTE:
-                # a non-edge (u, v) stays representable — it is an *illegal
-                # move* (the engine refuses it at replay time), not a
-                # malformed row — but both endpoints must be real nodes
-                if not 0 <= y < n:
-                    raise ValueError(f"move {i}: edge head {y} out of range (n = {n})")
-            elif y != -1:
-                raise ValueError(f"move {i}: {OP_NAMES[op]} rows must carry arg=-1, got {y}")
+        elif not arg_lo <= y < n:
+            what = "slide_from" if game == "rbp" else "edge head"
+            raise ValueError(f"move {i}: {what} {y} out of range (n = {n})")
 
 
-def _validate_columns(
-    game: str, n: int, op: np.ndarray, node: np.ndarray, arg: np.ndarray
-) -> None:
-    """Vectorized :func:`_validate_rows` over whole columns (the hot wire path).
-
-    Raises the same ``ValueError`` messages, pinned to the *first* offending
-    row, without a per-row Python loop.
-    """
-    # fast path: one fused check for the overwhelmingly-common all-valid case;
-    # the per-rule scans below only run to pin down the error message
-    is_comp = op == OP_COMPUTE
-    arg_lo = -1 if game == "rbp" else 0
-    if not (
-        (op < 0)
-        | (op >= len(_KIND_OF_OP))
-        | (node < 0)
-        | (node >= n)
-        | np.where(is_comp, (arg < arg_lo) | (arg >= n), arg != -1)
-    ).any():
-        return
-    bad = (op < 0) | (op >= len(_KIND_OF_OP))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"move {i}: unknown op code {int(op[i])}")
-    bad = (node < 0) | (node >= n)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"move {i}: node {int(node[i])} out of range (n = {n})")
-    if game == "rbp":
-        bad = is_comp & ((arg < -1) | (arg >= n))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(
-                f"move {i}: slide_from {int(arg[i])} out of range (n = {n})"
-            )
-    else:
-        bad = is_comp & ((arg < 0) | (arg >= n))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(
-                f"move {i}: edge head {int(arg[i])} out of range (n = {n})"
-            )
-    bad = ~is_comp & (arg != -1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"move {i}: {OP_NAMES[int(op[i])]} rows must carry arg=-1, got {int(arg[i])}"
-        )
+def _columns(schedule: Schedule) -> np.ndarray:
+    """The rows as a ``(3, len)`` int32 array: the op, node and arg columns."""
+    rows = schedule.rows
+    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int32, count=3 * len(rows))
+    return flat.reshape(-1, 3).T
 
 
-def from_schedule(schedule: Schedule) -> ScheduleIR:
-    """Encode an ``RBPSchedule`` / ``PRBPSchedule`` losslessly into columns.
-
-    Node ids are range-checked (the columnar kernels index flat per-node
-    tables, so an out-of-range id is unrepresentable — the engines treat it
-    as an illegal move; here it is a ``ValueError`` at encode time).
-    Illegal-but-representable schedules pass through unchanged: legality is
-    the replay kernel's job, not the encoder's.
-    """
-    game = "rbp" if isinstance(schedule, RBPSchedule) else "prbp"
-    rows = encode_moves(game, schedule.moves)
-    _validate_rows(game, schedule.dag.n, rows)
-    if rows:
-        op, node, arg = (list(col) for col in zip(*rows))
-    else:
-        op, node, arg = [], [], []
-    return ScheduleIR(
-        game=game,
-        dag=schedule.dag,
-        r=int(schedule.r),
-        variant=schedule.variant,
-        op=_as_column(op),
-        node=_as_column(node),
-        arg=_as_column(arg),
-        description=schedule.description,
-    )
-
-
-def to_schedule(ir: ScheduleIR) -> Schedule:
-    """Decode an IR back into the Move-object schedule container."""
-    rows = zip(ir.op.tolist(), ir.node.tolist(), ir.arg.tolist())
-    moves = decode_moves(ir.game, rows)
-    if ir.game == "rbp":
-        return RBPSchedule(
-            ir.dag,
-            ir.r,
-            [mv for mv in moves if isinstance(mv, RBPMove)],
-            variant=ir.variant,
-            description=ir.description,
-        )
-    return PRBPSchedule(
-        ir.dag,
-        ir.r,
-        [mv for mv in moves if isinstance(mv, PRBPMove)],
-        variant=ir.variant,
-        description=ir.description,
-    )
-
-
-def ir_digest(ir: ScheduleIR) -> str:
-    """Hex SHA-256 of the IR's header + columns (byte-exact identity)."""
+def ir_digest(schedule: Schedule) -> str:
+    """Hex SHA-256 of the schedule's header + columns (byte-exact identity)."""
+    s = schedule
     h = hashlib.sha256()
-    h.update(
-        repr((ir.game, ir.dag.n, ir.r, ir.variant, ir.description, len(ir))).encode()
-    )
-    for column in (ir.op, ir.node, ir.arg):
+    h.update(repr((s.game, s.dag.n, int(s.r), s.variant, s.description, len(s))).encode())
+    for column in _columns(s):
         h.update(np.ascontiguousarray(column, dtype="<i4").tobytes())
     return h.hexdigest()
-
-
-# --------------------------------------------------------------------------- #
-# wire / cache codec for the columns
-# --------------------------------------------------------------------------- #
 
 
 def _b64_encode(column: np.ndarray) -> str:
@@ -429,13 +250,14 @@ def _b64_decode(text: object, count: int, field: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<i4").astype(np.int32)
 
 
-def pack_arrays(ir: ScheduleIR) -> Dict[str, object]:
-    """The IR's columns as the compact JSON-safe payload used on disk and wire."""
+def pack_arrays(schedule: Schedule) -> Dict[str, object]:
+    """The schedule's columns as the compact JSON-safe payload used on disk and wire."""
+    op, node, arg = _columns(schedule)
     return {
-        "count": len(ir),
-        "ops": _b64_encode(ir.op),
-        "nodes": _b64_encode(ir.node),
-        "args": _b64_encode(ir.arg),
+        "count": len(schedule),
+        "ops": _b64_encode(op),
+        "nodes": _b64_encode(node),
+        "args": _b64_encode(arg),
     }
 
 
@@ -457,26 +279,35 @@ def ir_from_arrays(
     dag: ComputationalDAG,
     r: int,
     variant: GameVariant,
-    op: np.ndarray,
-    node: np.ndarray,
-    arg: np.ndarray,
+    op: Sequence[int],
+    node: Sequence[int],
+    arg: Sequence[int],
     description: str = "",
-) -> ScheduleIR:
-    """Assemble and *validate* an IR from untrusted columns (cache / wire)."""
-    if game not in _GAMES:
-        raise ValueError(f"game must be one of {_GAMES}, got {game!r}")
-    op, node, arg = _as_column(op), _as_column(node), _as_column(arg)
-    _validate_columns(game, dag.n, op, node, arg)
-    return ScheduleIR(
-        game=game,
-        dag=dag,
-        r=int(r),
-        variant=variant,
-        op=_as_column(op),
-        node=_as_column(node),
-        arg=_as_column(arg),
-        description=description,
+) -> Schedule:
+    """Assemble and *check* a schedule from untrusted columns (cache / wire).
+
+    The columns get the row check of :func:`_validate_rows` as one
+    vectorized pass; only a schedule that fails it is scanned row by row,
+    to raise the message naming the first bad row.  The schedule comes
+    back with its per-op counts set, so its replay does not check it again.
+    """
+    if game not in _SCHEDULE_OF_GAME:
+        raise ValueError(f"game must be one of {tuple(_SCHEDULE_OF_GAME)}, got {game!r}")
+    op, node, arg = (np.asarray(c, dtype=np.int32) for c in (op, node, arg))
+    rows = list(zip(op.tolist(), node.tolist(), arg.tolist(), strict=True))
+    arg_lo = -1 if game == "rbp" else 0
+    bad = (
+        (op < 0)
+        | (op >= len(OP_NAMES))
+        | (node < 0)
+        | (node >= dag.n)
+        | np.where(op == OP_COMPUTE, (arg < arg_lo) | (arg >= dag.n), arg != -1)
     )
+    if bad.any():
+        _validate_rows(game, dag.n, rows)
+    schedule = _SCHEDULE_OF_GAME[game].from_rows(dag, int(r), rows, variant, description)
+    schedule._op_counts = np.bincount(op, minlength=len(OP_NAMES)).tolist()
+    return schedule
 
 
 # --------------------------------------------------------------------------- #
@@ -779,34 +610,38 @@ def _prbp_scalar(
 # --------------------------------------------------------------------------- #
 
 
-def _check_ir_game(ir: ScheduleIR, data: _DagData) -> None:
+def _check_game(schedule: Schedule, data: _DagData) -> None:
     # mirror RBPGame/PRBPGame.__init__, in their order: such a game cannot start
-    if ir.r < 1:
-        raise ValueError(f"fast memory capacity must be >= 1, got {ir.r}")
-    if ir.game == "prbp" and ir.variant.allow_sliding:
+    if schedule.r < 1:
+        raise ValueError(f"fast memory capacity must be >= 1, got {schedule.r}")
+    if schedule.game == "prbp" and schedule.variant.allow_sliding:
         raise ValueError(
             "the sliding variant only applies to RBP; PRBP partial computes are already in-place"
         )
     if data.has_isolated:
-        ir.dag.validate_no_isolated()
-
-
-def _ir_rows(ir: ScheduleIR) -> List[MoveRow]:
-    return list(zip(ir.op.tolist(), ir.node.tolist(), ir.arg.tolist()))
+        schedule.dag.validate_no_isolated()
 
 
 def _bool_mask(raw: bytearray) -> np.ndarray:
     return np.frombuffer(bytes(raw), dtype=np.uint8).astype(bool)
 
 
-def replay(ir: ScheduleIR) -> ReplayOutcome:
-    """Replay one IR through its game's loop (engine-equivalent verdicts)."""
-    data = _dag_data(ir.dag)
-    _check_ir_game(ir, data)
-    rows = _ir_rows(ir)
-    if ir.game == "rbp":
+def replay(schedule: Schedule) -> ReplayOutcome:
+    """Replay a schedule's rows through its game's loop (engine-equivalent verdicts).
+
+    Node ids are range-checked first: the loops index flat per-node tables,
+    so an out-of-range id is unrepresentable (the engines treat it as an
+    illegal move; here it is a ``ValueError``).  Illegal-but-representable
+    rows replay to a verdict, like any other.
+    """
+    data = _dag_data(schedule.dag)
+    rows = schedule.rows
+    if schedule._op_counts is None:
+        schedule._op_counts = _validate_rows(schedule.game, data.n, rows)
+    _check_game(schedule, data)
+    if schedule.game == "rbp":
         failed, io, cost, peak, terminal, (red, blue, computed) = _rbp_scalar(
-            data, ir.r, ir.variant, rows
+            data, schedule.r, schedule.variant, rows
         )
         return ReplayOutcome(
             failed is None,
@@ -820,7 +655,7 @@ def replay(ir: ScheduleIR) -> ReplayOutcome:
             computed=_bool_mask(computed),
         )
     failed, io, cost, peak, terminal, (state, marked) = _prbp_scalar(
-        data, ir.r, ir.variant, rows
+        data, schedule.r, schedule.variant, rows
     )
     return ReplayOutcome(
         failed is None,
@@ -846,8 +681,9 @@ def replay_io_cost(
     *and* terminally — the kernel twin of ``Schedule.cost()``.
 
     This is the mutation-scoring hot path: the same loop as :func:`replay`,
-    without building the outcome's masks.  Rows must use in-range node ids
-    (the refiner's rows come from encoded schedules, which guarantees it).
+    without building the outcome's masks or checking the rows.  Rows must
+    use in-range node ids (the refiner's rows come from a schedule that
+    replayed legally, which guarantees it).
     With ``start``, ``rows`` is scored as the continuation of the prefix that
     brought ``start`` where it is (the cost counts that prefix's I/O too),
     and ``start`` is advanced in place; pass a :meth:`ReplayState.copy` to
@@ -880,38 +716,38 @@ def advance(
     return loop(_dag_data(dag), r, variant, rows, state)[0]
 
 
-def kernel_stats(ir: ScheduleIR) -> ScheduleStats:
-    """Replay an IR and return engine-identical :class:`ScheduleStats`.
+def kernel_stats(schedule: Schedule) -> ScheduleStats:
+    """Replay a schedule's rows and return engine-identical :class:`ScheduleStats`.
 
     Raises the engines' exception classes: :class:`IllegalMoveError` at an
     illegal move, :class:`IncompletePebblingError` when the final
     configuration is not terminal, and the constructors' ``ValueError`` /
-    :class:`~repro.core.exceptions.DAGError` for a game that cannot start.
+    :class:`~repro.core.exceptions.DAGError` for a game that cannot start;
+    a row with an out-of-range node id is a ``ValueError``.
     It is the validation replay of ``Schedule.stats()`` (once per solve),
     the cache and the wire protocol.
     """
-    outcome = replay(ir)
+    outcome = replay(schedule)
     if not outcome.legal:
         assert outcome.failed_at is not None
-        op = int(ir.op[outcome.failed_at])
-        name = OP_NAMES[op] if 0 <= op < len(OP_NAMES) else f"op#{op}"
+        op, node, _ = schedule.rows[outcome.failed_at]
         raise IllegalMoveError(
-            f"schedule replay failed at move {outcome.failed_at} "
-            f"({name} {int(ir.node[outcome.failed_at])})"
+            f"schedule replay failed at move {outcome.failed_at} ({OP_NAMES[op]} {node})"
         )
     if not outcome.terminal:
         raise IncompletePebblingError(
-            f"{ir.game.upper()} pebbling incomplete: the schedule replays legally "
+            f"{schedule.game.upper()} pebbling incomplete: the schedule replays legally "
             "but does not finish the pebbling"
         )
-    kinds = np.bincount(ir.op, minlength=5) if len(ir) else np.zeros(5, dtype=np.int64)
+    kinds = schedule._op_counts  # set by the replay's row check
+    assert kinds is not None
     return ScheduleStats(
         io_cost=outcome.io_cost,
-        loads=int(kinds[OP_LOAD]),
-        saves=int(kinds[OP_SAVE]),
-        computes=int(kinds[OP_COMPUTE]),
-        deletes=int(kinds[OP_DELETE]),
-        clears=int(kinds[OP_CLEAR]),
+        loads=kinds[OP_LOAD],
+        saves=kinds[OP_SAVE],
+        computes=kinds[OP_COMPUTE],
+        deletes=kinds[OP_DELETE],
+        clears=kinds[OP_CLEAR],
         total_cost=outcome.total_cost,
         peak_red=outcome.peak_red,
     )

@@ -45,11 +45,9 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ..core.canonical import dag_digest
 from ..core.dag import ComputationalDAG, DAGFamily
 from ..core.schedule_ir import (
-    from_schedule,
     ir_from_arrays,
     kernel_stats,
     pack_arrays,
-    to_schedule,
     unpack_arrays,
 )
 from ..core.strategy import ScheduleStats
@@ -487,10 +485,9 @@ def problem_from_wire(doc: Mapping[str, object]) -> PebblingProblem:
 
 
 def _schedule_to_wire(schedule: Schedule) -> Dict[str, object]:
-    """The v2 schedule payload: packed IR columns plus the description."""
-    ir = from_schedule(schedule)
-    doc: Dict[str, object] = dict(pack_arrays(ir))
-    doc["description"] = ir.description
+    """The v2 schedule payload: the rows as packed columns, plus the description."""
+    doc: Dict[str, object] = dict(pack_arrays(schedule))
+    doc["description"] = schedule.description
     return doc
 
 
@@ -499,7 +496,7 @@ def _schedule_from_wire(problem: PebblingProblem, doc: object) -> Tuple[Schedule
 
     The packed columns are decoded (any malformation — bad base64, wrong
     byte counts, out-of-range op/node ids — is a :class:`ProtocolError`) and
-    the resulting IR is replayed through the scalar kernel, which both
+    the resulting schedule's rows are replayed through the kernel, which both
     checks legality/terminality and recomputes every statistic.  Returns the
     rebuilt schedule together with the kernel-replayed statistics.
     """
@@ -509,7 +506,7 @@ def _schedule_from_wire(problem: PebblingProblem, doc: object) -> Tuple[Schedule
     _require(isinstance(description, str), "schedule 'description' must be a string")
     try:
         op, node, arg = unpack_arrays(doc)
-        ir = ir_from_arrays(
+        schedule = ir_from_arrays(
             problem.game,
             problem.dag,
             problem.r,
@@ -522,10 +519,10 @@ def _schedule_from_wire(problem: PebblingProblem, doc: object) -> Tuple[Schedule
     except ValueError as exc:
         raise ProtocolError(f"malformed schedule columns: {exc}") from exc
     try:
-        replayed = kernel_stats(ir)  # raises on an illegal/incomplete schedule
+        replayed = kernel_stats(schedule)  # raises on an illegal/incomplete schedule
     except Exception as exc:
         raise ProtocolError(f"wire schedule does not replay legally: {exc}") from exc
-    return to_schedule(ir), replayed
+    return schedule, replayed
 
 
 def _trajectory_to_wire(trajectory: Optional[RefinementTrajectory]) -> Optional[Dict[str, object]]:

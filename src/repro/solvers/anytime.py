@@ -50,7 +50,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.dag import ComputationalDAG
 from ..core.exceptions import PebblingError, SolverError
-from ..core.moves import PRBPMove, RBPMove
 from ..core.schedule_ir import (
     OP_CLEAR,
     OP_COMPUTE,
@@ -59,8 +58,6 @@ from ..core.schedule_ir import (
     OP_SAVE,
     ReplayState,
     advance,
-    decode_moves,
-    encode_moves,
     replay_io_cost,
     start_state,
 )
@@ -77,12 +74,11 @@ __all__ = [
 ]
 
 Schedule = Union[RBPSchedule, PRBPSchedule]
-Move = Union[RBPMove, PRBPMove]
 
-#: The refiner's working form: one ``(op, node, arg)`` row per move, as
-#: produced by :func:`repro.core.schedule_ir.encode_moves`.  Every mutation
-#: operator manipulates rows and every candidate is scored by the columnar
-#: replay kernel — Move objects are only materialized at the boundaries.
+#: The refiner's working form, which is also what a schedule holds: one
+#: ``(op, node, arg)`` row per move.  Every mutation operator manipulates
+#: rows and every candidate is scored by the replay kernel; no Move object
+#: is built.
 Row = Tuple[int, int, int]
 
 #: Default mutation-attempt budget when neither ``steps`` nor a wall-clock
@@ -176,10 +172,6 @@ class _Budget:
         return time.perf_counter() - self.start
 
 
-def _game_of(schedule: Schedule) -> str:
-    return "rbp" if isinstance(schedule, RBPSchedule) else "prbp"
-
-
 def schedule_io_count(schedule: Schedule) -> int:
     """I/O cost of a schedule taken as legal — just its I/O move count.
 
@@ -188,27 +180,11 @@ def schedule_io_count(schedule: Schedule) -> int:
     chosen one up front), and the refinement internals use it on rebuilds
     that are legal by construction.
     """
-    return _io_count(schedule.moves)
-
-
-def _io_count(moves: Sequence[Move]) -> int:
-    return sum(1 for mv in moves if mv.is_io)
+    return _io_count_rows(schedule.rows)
 
 
 def _io_count_rows(rows: Sequence[Row]) -> int:
     return sum(1 for op, _, _ in rows if op <= OP_SAVE)
-
-
-def _make_schedule(
-    template: Schedule, moves: List[Move], description: str
-) -> Schedule:
-    if isinstance(template, RBPSchedule):
-        return RBPSchedule(
-            template.dag, template.r, moves, variant=template.variant, description=description
-        )
-    return PRBPSchedule(
-        template.dag, template.r, moves, variant=template.variant, description=description
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -335,9 +311,9 @@ def _elision_pass(
     that failed once (e.g. a round trip whose removal would overflow
     capacity) is not retried on every sweep — failed retries would
     otherwise silently drain the step budget.  Rows are a bijective image
-    of Move objects (:func:`encode_moves`), so the dedup classes are exactly
-    the pre-kernel ones.  Rows change only on an accept, which ends the
-    sweep, so the ranks are computed once per sweep.
+    of Move objects (:func:`repro.core.moves.encode_moves`), so the dedup
+    classes are those of the moves.  Rows change only on an accept, which
+    ends the sweep, so the ranks are computed once per sweep.
 
     A removal leaves the rows before its first dropped index untouched, so
     each candidate is scored on its suffix alone, from a copy of a cursor
@@ -568,7 +544,7 @@ def refine_schedule(
         the trajectory is also stored on the solve's
         :class:`~repro.obs.recorder.SolveRecorder`.
     """
-    game = _game_of(schedule)
+    game = schedule.game
     dag, r, variant = schedule.dag, schedule.r, schedule.variant
 
     initial_cost = verified_cost
@@ -586,9 +562,9 @@ def refine_schedule(
     budget = _Budget(steps, time_budget_s)
     rng = random.Random(seed)
 
-    # the search runs entirely on (op, node, arg) rows scored by the replay
-    # kernel; Move objects only reappear for the returned schedule
-    best_rows: List[Row] = encode_moves(game, schedule.moves)
+    # the search runs on the schedule's own rows, scored by the replay kernel;
+    # every operator builds new lists, so the input's rows are never changed
+    best_rows: List[Row] = schedule.rows
     best_cost = initial_cost
     accepted = 0
     time_to_best = 0.0
@@ -644,13 +620,15 @@ def refine_schedule(
                 on_accept(trial_rows, trial_cost)
 
     # rows change only on a strictly cheaper accept, so an unimproved run
-    # hands back its input instead of decoding an identical copy
+    # hands back its input instead of an identical copy
     refined = schedule
     if best_cost < initial_cost:
-        refined = _make_schedule(
-            schedule,
-            decode_moves(game, best_rows),
-            f"anytime refinement of {origin} (seed={seed})",
+        refined = type(schedule).from_rows(
+            dag,
+            r,
+            best_rows,
+            variant=variant,
+            description=f"anytime refinement of {origin} (seed={seed})",
         )
     trajectory = RefinementTrajectory(
         initial_cost=initial_cost,

@@ -18,8 +18,8 @@ otherwise save-and-drop the pebble whose next use is furthest in the future
 (the offline Belady rule applied to the fixed processing order).
 
 The builders track the game state in plain ints (a red set plus per-node
-bytearrays) and append ``(op, node, arg)`` rows of
-:mod:`repro.core.schedule_ir`; they never drive the game engine.  The rows
+bytearrays) and append ``(op, node, arg)`` rows (see
+:mod:`repro.core.moves`); they never drive the game engine.  The rows
 are legal by construction, and the differential tests pin them, row for row
 and failure for failure, to an engine-driven copy of the same strategy.
 :func:`topological_prbp_schedule` and :func:`greedy_rbp_schedule` wrap the
@@ -39,7 +39,6 @@ from ..core.schedule_ir import (
     OP_SAVE,
     MoveRow,
     _dag_data,
-    decode_moves,
 )
 from ..core.strategy import PRBPSchedule, RBPSchedule
 from ..core.variants import ONE_SHOT, GameVariant
@@ -226,8 +225,8 @@ def topological_prbp_schedule(
     variant: GameVariant = ONE_SHOT,
 ) -> PRBPSchedule:
     """Greedy PRBP pebbling: :func:`topological_prbp_rows` as a schedule."""
-    moves = decode_moves("prbp", topological_prbp_rows(dag, r, topo_order, variant))
-    return PRBPSchedule(dag, r, moves, variant=variant, description=_DESCRIPTION)
+    rows = topological_prbp_rows(dag, r, topo_order, variant)
+    return PRBPSchedule.from_rows(dag, r, rows, variant=variant, description=_DESCRIPTION)
 
 
 def greedy_rbp_rows(
@@ -322,5 +321,5 @@ def greedy_rbp_schedule(
 
     Requires ``r >= Δ_in + 1`` (otherwise no RBP pebbling exists at all).
     """
-    moves = decode_moves("rbp", greedy_rbp_rows(dag, r, topo_order, variant))
-    return RBPSchedule(dag, r, moves, variant=variant, description=_DESCRIPTION)
+    rows = greedy_rbp_rows(dag, r, topo_order, variant)
+    return RBPSchedule.from_rows(dag, r, rows, variant=variant, description=_DESCRIPTION)

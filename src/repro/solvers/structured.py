@@ -1,7 +1,9 @@
 """Structured pebbling strategies: the explicit constructions analysed in the paper.
 
-Every function here emits an *explicit move list* for a specific DAG family
-and returns it without replaying it.  :func:`repro.api.solve` replays every
+Every function here emits the ``(op, node, arg)`` rows of an explicit move
+sequence for a specific DAG family (with the row helpers ``_load``,
+``_save``, ``_dele``, ``_comp`` and ``_compute`` below) and returns them as
+a schedule without replaying them.  :func:`repro.api.solve` replays every
 schedule it returns exactly once and raises on an illegal one; direct
 callers replay with the schedule's ``validate``, ``cost`` or ``stats``
 method.  The families and the costs they achieve:
@@ -33,7 +35,7 @@ from typing import List, Optional, Tuple
 
 from ..core.conversion import convert_rbp_to_prbp
 from ..core.exceptions import SolverError
-from ..core.moves import MoveKind, PRBPMove, RBPMove
+from ..core.moves import OP_COMPUTE, OP_DELETE, OP_LOAD, OP_SAVE, MoveRow
 from ..core.strategy import PRBPSchedule, RBPSchedule
 from ..dags.attention import AttentionInstance, attention_instance
 from ..dags.fanin import FanInGroupsInstance, fanin_groups_instance
@@ -80,20 +82,30 @@ __all__ = [
 ]
 
 
-def _load(v: int) -> PRBPMove:
-    return PRBPMove(MoveKind.LOAD, node=v)
+# Row helpers.  Load, save and delete rows are the same in both games; a
+# compute row targets a node in RBP and an edge in PRBP.
 
 
-def _save(v: int) -> PRBPMove:
-    return PRBPMove(MoveKind.SAVE, node=v)
+def _load(v: int) -> MoveRow:
+    return (OP_LOAD, v, -1)
 
 
-def _comp(u: int, v: int) -> PRBPMove:
-    return PRBPMove(MoveKind.COMPUTE, edge=(u, v))
+def _save(v: int) -> MoveRow:
+    return (OP_SAVE, v, -1)
 
 
-def _dele(v: int) -> PRBPMove:
-    return PRBPMove(MoveKind.DELETE, node=v)
+def _dele(v: int) -> MoveRow:
+    return (OP_DELETE, v, -1)
+
+
+def _comp(u: int, v: int) -> MoveRow:
+    """PRBP partial compute along the edge ``(u, v)``."""
+    return (OP_COMPUTE, u, v)
+
+
+def _compute(v: int) -> MoveRow:
+    """RBP compute of node ``v``."""
+    return (OP_COMPUTE, v, -1)
 
 
 def _resolve_capacity(r: Optional[int], minimum: int, strategy: str) -> int:
@@ -182,7 +194,7 @@ def figure1_prbp_schedule(inst: Optional[Figure1Instance] = None, r: Optional[in
         _comp(g.v2, g.v0),
         _save(g.v0),
     ]
-    return PRBPSchedule(g.dag, r, moves, description="Appendix A.1 PRBP strategy")
+    return PRBPSchedule.from_rows(g.dag, r, moves, description="Appendix A.1 PRBP strategy")
 
 
 def figure1_rbp_schedule(inst: Optional[Figure1Instance] = None, r: Optional[int] = None) -> RBPSchedule:
@@ -193,35 +205,29 @@ def figure1_rbp_schedule(inst: Optional[Figure1Instance] = None, r: Optional[int
     if not inst.include_endpoints or inst.has_z_layer or inst.has_w0:
         raise ValueError("the A.1 strategy targets the plain Figure 1 DAG with endpoints")
     g = inst
-    L, C, D, S = (
-        lambda v: RBPMove(MoveKind.LOAD, v),
-        lambda v: RBPMove(MoveKind.COMPUTE, v),
-        lambda v: RBPMove(MoveKind.DELETE, v),
-        lambda v: RBPMove(MoveKind.SAVE, v),
-    )
     moves = [
-        L(g.u0),
-        C(g.u1),
-        D(g.u0),
-        C(g.w1),
-        C(g.w2),
-        C(g.w3),
-        D(g.w1),
-        D(g.w2),
-        C(g.w4),
-        D(g.w3),
-        D(g.u1),
-        L(g.u0),
-        C(g.u2),
-        D(g.u0),
-        C(g.v1),
-        C(g.v2),
-        D(g.w4),
-        D(g.u2),
-        C(g.v0),
-        S(g.v0),
+        _load(g.u0),
+        _compute(g.u1),
+        _dele(g.u0),
+        _compute(g.w1),
+        _compute(g.w2),
+        _compute(g.w3),
+        _dele(g.w1),
+        _dele(g.w2),
+        _compute(g.w4),
+        _dele(g.w3),
+        _dele(g.u1),
+        _load(g.u0),
+        _compute(g.u2),
+        _dele(g.u0),
+        _compute(g.v1),
+        _compute(g.v2),
+        _dele(g.w4),
+        _dele(g.u2),
+        _compute(g.v0),
+        _save(g.v0),
     ]
-    return RBPSchedule(g.dag, r, moves, description="Appendix A.1 RBP strategy")
+    return RBPSchedule.from_rows(g.dag, r, moves, description="Appendix A.1 RBP strategy")
 
 
 # --------------------------------------------------------------------------- #
@@ -236,7 +242,7 @@ def chained_gadget_prbp_schedule(
     if inst is None:
         inst = chained_gadget_instance(copies)
     r = _resolve_capacity(r, CHAINED_GADGET_MIN_R, "Proposition 4.7 strategy")
-    moves: List[PRBPMove] = []
+    moves: List[MoveRow] = []
     first = inst.gadget_nodes[0]
     moves += [
         _load(inst.u0),
@@ -274,7 +280,7 @@ def chained_gadget_prbp_schedule(
         _dele(last["v2"]),
         _save(inst.v0),
     ]
-    return PRBPSchedule(
+    return PRBPSchedule.from_rows(
         inst.dag, r, moves, description=f"Proposition 4.7 PRBP strategy ({inst.copies} copies)"
     )
 
@@ -295,7 +301,7 @@ def matvec_prbp_schedule(inst: Optional[MatVecInstance] = None, m: int = 4, r: O
         inst = matvec_instance(m)
     m = inst.m
     r = _resolve_capacity(r, matvec_min_r(m), "Proposition 4.3 strategy")
-    moves: List[PRBPMove] = []
+    moves: List[MoveRow] = []
     for i in range(m):
         xi = inst.x(i)
         moves.append(_load(xi))
@@ -313,7 +319,7 @@ def matvec_prbp_schedule(inst: Optional[MatVecInstance] = None, m: int = 4, r: O
         moves.append(_dele(xi))
     for j in range(m):
         moves.append(_save(inst.y(j)))
-    return PRBPSchedule(
+    return PRBPSchedule.from_rows(
         inst.dag, r, moves, description="Proposition 4.3 column-streaming PRBP strategy"
     )
 
@@ -335,7 +341,7 @@ def zipper_prbp_schedule(inst: Optional[ZipperInstance] = None, d: int = 3, leng
         inst = zipper_instance(d, length)
     d, length = inst.d, inst.length
     r = _resolve_capacity(r, zipper_min_r(d), "zipper PRBP strategy")
-    moves: List[PRBPMove] = []
+    moves: List[MoveRow] = []
     # phase 1: group A resident, pre-aggregate every even chain node
     for a in inst.group_a:
         moves.append(_load(a))
@@ -369,7 +375,7 @@ def zipper_prbp_schedule(inst: Optional[ZipperInstance] = None, d: int = 3, leng
     moves.append(_dele(prev))
     for b in inst.group_b:
         moves.append(_dele(b))
-    return PRBPSchedule(
+    return PRBPSchedule.from_rows(
         inst.dag, r, moves, description="Proposition 4.4 two-phase PRBP strategy"
     )
 
@@ -384,13 +390,7 @@ def zipper_rbp_schedule(inst: Optional[ZipperInstance] = None, d: int = 3, lengt
         inst = zipper_instance(d, length)
     d, length = inst.d, inst.length
     r = _resolve_capacity(r, zipper_min_r(d), "zipper RBP strategy")
-    L, C, D, S = (
-        lambda v: RBPMove(MoveKind.LOAD, v),
-        lambda v: RBPMove(MoveKind.COMPUTE, v),
-        lambda v: RBPMove(MoveKind.DELETE, v),
-        lambda v: RBPMove(MoveKind.SAVE, v),
-    )
-    moves: List[RBPMove] = []
+    moves: List[MoveRow] = []
     prev = None
     resident: Tuple[int, ...] = ()
     for i in range(length):
@@ -398,16 +398,16 @@ def zipper_rbp_schedule(inst: Optional[ZipperInstance] = None, d: int = 3, lengt
         group = inst.group_for(i)
         if group != resident:
             for v in resident:
-                moves.append(D(v))
+                moves.append(_dele(v))
             for v in group:
-                moves.append(L(v))
+                moves.append(_load(v))
             resident = group
-        moves.append(C(c))
+        moves.append(_compute(c))
         if prev is not None:
-            moves.append(D(prev))
+            moves.append(_dele(prev))
         prev = c
-    moves.append(S(prev))
-    return RBPSchedule(
+    moves.append(_save(prev))
+    return RBPSchedule.from_rows(
         inst.dag, r, moves, description="alternating-group RBP strategy for the zipper gadget"
     )
 
@@ -428,45 +428,39 @@ def tree_rbp_schedule(inst: Optional[TreeInstance] = None, k: int = 2, depth: in
         inst = kary_tree_instance(k, depth)
     k, depth = inst.k, inst.depth
     r = _resolve_capacity(r, tree_min_r(k), "tree RBP strategy")
-    moves: List[RBPMove] = []
-    L, C, D, S = (
-        lambda v: RBPMove(MoveKind.LOAD, v),
-        lambda v: RBPMove(MoveKind.COMPUTE, v),
-        lambda v: RBPMove(MoveKind.DELETE, v),
-        lambda v: RBPMove(MoveKind.SAVE, v),
-    )
+    moves: List[MoveRow] = []
 
     def pebble(level: int, index: int) -> None:
         """Emit moves that end with node ``levels[level][index]`` red and nothing else held."""
         v = inst.levels[level][index]
         if level == depth:
-            moves.append(L(v))
+            moves.append(_load(v))
             return
         children_indices = list(range(k * index, k * index + k))
         if level == depth - 1:
             # parent of leaves: all children fit simultaneously
             for ci in children_indices:
-                moves.append(L(inst.levels[depth][ci]))
-            moves.append(C(v))
+                moves.append(_load(inst.levels[depth][ci]))
+            moves.append(_compute(v))
             for ci in children_indices:
-                moves.append(D(inst.levels[depth][ci]))
+                moves.append(_dele(inst.levels[depth][ci]))
             return
         # higher node: compute the first k-1 child subtrees, saving each result
         for ci in children_indices[:-1]:
             pebble(level + 1, ci)
             c = inst.levels[level + 1][ci]
-            moves.append(S(c))
-            moves.append(D(c))
+            moves.append(_save(c))
+            moves.append(_dele(c))
         pebble(level + 1, children_indices[-1])
         for ci in children_indices[:-1]:
-            moves.append(L(inst.levels[level + 1][ci]))
-        moves.append(C(v))
+            moves.append(_load(inst.levels[level + 1][ci]))
+        moves.append(_compute(v))
         for ci in children_indices:
-            moves.append(D(inst.levels[level + 1][ci]))
+            moves.append(_dele(inst.levels[level + 1][ci]))
 
     pebble(0, 0)
-    moves.append(S(inst.root))
-    return RBPSchedule(
+    moves.append(_save(inst.root))
+    return RBPSchedule.from_rows(
         inst.dag, r, moves, description="Appendix A.2 RBP strategy for k-ary trees"
     )
 
@@ -482,7 +476,7 @@ def tree_prbp_schedule(inst: Optional[TreeInstance] = None, k: int = 2, depth: i
         inst = kary_tree_instance(k, depth)
     k, depth = inst.k, inst.depth
     r = _resolve_capacity(r, tree_min_r(k), "tree PRBP strategy")
-    moves: List[PRBPMove] = []
+    moves: List[MoveRow] = []
 
     def pebble_free(level: int, index: int) -> None:
         """Pebble a depth <= k subtree with partial computations only (no I/O beyond leaf loads)."""
@@ -524,7 +518,7 @@ def tree_prbp_schedule(inst: Optional[TreeInstance] = None, k: int = 2, depth: i
     pebble(0, 0)
     moves.append(_save(inst.root))
     moves.append(_dele(inst.root))
-    return PRBPSchedule(
+    return PRBPSchedule.from_rows(
         inst.dag, r, moves, description="Appendix A.2 PRBP strategy for k-ary trees"
     )
 
@@ -542,22 +536,16 @@ def collection_full_rbp_schedule(
         inst = pebble_collection_instance(d, length)
     d, length = inst.d, inst.length
     r = _resolve_capacity(r, collection_min_r(d), "full-pebble RBP strategy")
-    L, C, D, S = (
-        lambda v: RBPMove(MoveKind.LOAD, v),
-        lambda v: RBPMove(MoveKind.COMPUTE, v),
-        lambda v: RBPMove(MoveKind.DELETE, v),
-        lambda v: RBPMove(MoveKind.SAVE, v),
-    )
-    moves: List[RBPMove] = [L(u) for u in inst.sources]
+    moves: List[MoveRow] = [_load(u) for u in inst.sources]
     prev = None
     for i in range(length):
         c = inst.chain[i]
-        moves.append(C(c))
+        moves.append(_compute(c))
         if prev is not None:
-            moves.append(D(prev))
+            moves.append(_dele(prev))
         prev = c
-    moves.append(S(prev))
-    return RBPSchedule(
+    moves.append(_save(prev))
+    return RBPSchedule.from_rows(
         inst.dag, r, moves, description="full-pebble RBP strategy for the collection gadget"
     )
 
@@ -570,7 +558,7 @@ def collection_full_prbp_schedule(
         inst = pebble_collection_instance(d, length)
     d, length = inst.d, inst.length
     r = _resolve_capacity(r, collection_min_r(d), "full-pebble PRBP strategy")
-    moves: List[PRBPMove] = [_load(u) for u in inst.sources]
+    moves: List[MoveRow] = [_load(u) for u in inst.sources]
     prev = None
     for i in range(length):
         c = inst.chain[i]
@@ -583,7 +571,7 @@ def collection_full_prbp_schedule(
     moves.append(_dele(prev))
     for u in inst.sources:
         moves.append(_dele(u))
-    return PRBPSchedule(
+    return PRBPSchedule.from_rows(
         inst.dag, r, moves, description="full-pebble PRBP strategy for the collection gadget"
     )
 
@@ -600,7 +588,7 @@ def fanin_groups_prbp_schedule(
     if inst is None:
         inst = fanin_groups_instance(num_groups, group_size)
     r = _resolve_capacity(r, FANIN_MIN_R, "Lemma 5.4 strategy")
-    moves: List[PRBPMove] = []
+    moves: List[MoveRow] = []
     sink = inst.sink
     for gi, u in enumerate(inst.sources):
         moves.append(_load(u))
@@ -611,7 +599,7 @@ def fanin_groups_prbp_schedule(
         moves.append(_dele(u))
     moves.append(_save(sink))
     moves.append(_dele(sink))
-    return PRBPSchedule(
+    return PRBPSchedule.from_rows(
         inst.dag, r, moves, description="Lemma 5.4 group-streaming PRBP strategy"
     )
 
@@ -637,13 +625,7 @@ def fft_blocked_rbp_schedule(inst: Optional[FFTInstance] = None, m: int = 16, r:
     s = max(1, r.bit_length() - 2)  # largest s with 2^(s+1) <= r
     while (1 << (s + 1)) > r:
         s -= 1
-    L, C, D, S = (
-        lambda v: RBPMove(MoveKind.LOAD, v),
-        lambda v: RBPMove(MoveKind.COMPUTE, v),
-        lambda v: RBPMove(MoveKind.DELETE, v),
-        lambda v: RBPMove(MoveKind.SAVE, v),
-    )
-    moves: List[RBPMove] = []
+    moves: List[MoveRow] = []
     levels = inst.levels
     t0 = 0
     while t0 < levels:
@@ -655,17 +637,17 @@ def fft_blocked_rbp_schedule(inst: Optional[FFTInstance] = None, m: int = 16, r:
         for base in bases:
             lanes = [base | (x << t0) for x in range(width)]
             for j in lanes:
-                moves.append(L(inst.node(t0, j)))
+                moves.append(_load(inst.node(t0, j)))
             for t in range(t0 + 1, t0 + span + 1):
                 for j in lanes:
-                    moves.append(C(inst.node(t, j)))
+                    moves.append(_compute(inst.node(t, j)))
                 for j in lanes:
-                    moves.append(D(inst.node(t - 1, j)))
+                    moves.append(_dele(inst.node(t - 1, j)))
             for j in lanes:
-                moves.append(S(inst.node(t0 + span, j)))
-                moves.append(D(inst.node(t0 + span, j)))
+                moves.append(_save(inst.node(t0 + span, j)))
+                moves.append(_dele(inst.node(t0 + span, j)))
         t0 += span
-    return RBPSchedule(
+    return RBPSchedule.from_rows(
         inst.dag, r, moves, description=f"blocked RBP strategy ({s} levels per pass)"
     )
 
@@ -702,7 +684,7 @@ def matmul_tiled_prbp_schedule(
     b = int(math.isqrt(r)) - 1
     while b > 1 and b * b + 2 * b + 1 > r:
         b -= 1
-    moves: List[PRBPMove] = []
+    moves: List[MoveRow] = []
     for i0 in range(0, m1, b):
         bi = min(b, m1 - i0)
         for j0 in range(0, m3, b):
@@ -731,7 +713,7 @@ def matmul_tiled_prbp_schedule(
                 for j in range(j0, j0 + bj):
                     moves.append(_save(inst.c(i, j)))
                     moves.append(_dele(inst.c(i, j)))
-    return PRBPSchedule(
+    return PRBPSchedule.from_rows(
         inst.dag, r, moves, description=f"outer-product tiled PRBP strategy (block {b})"
     )
 
@@ -764,7 +746,7 @@ def attention_flash_prbp_schedule(
     r = _resolve_capacity(r, attention_min_r(d), "flash-style attention strategy")
     bi = max(1, (r - d - 3) // d)
     bi = min(bi, m)
-    moves: List[PRBPMove] = []
+    moves: List[MoveRow] = []
     for i0 in range(0, m, bi):
         rows = range(i0, min(i0 + bi, m))
         q_nodes = [inst.q(i, k) for i in rows for k in range(d)]
@@ -790,6 +772,6 @@ def attention_flash_prbp_schedule(
                 moves.append(_dele(kt))
         for q in q_nodes:
             moves.append(_dele(q))
-    return PRBPSchedule(
+    return PRBPSchedule.from_rows(
         inst.dag, r, moves, description=f"flash-style tiled PRBP strategy (row block {bi})"
     )

@@ -7,18 +7,20 @@ import pytest
 
 from repro.api import (
     PebblingProblem,
+    ResultCache,
     SolveResult,
     get_solver,
     list_solvers,
     register_solver,
     solve,
+    solve_many,
     solver_names,
     unregister_solver,
 )
 from repro.core import schedule_ir
 from repro.core.dag import ComputationalDAG, DAGFamily
 from repro.core.exceptions import IllegalMoveError, SolverError
-from repro.core.moves import rbp
+from repro.core.moves import PRBPMove, RBPMove, rbp
 from repro.core.prbp import PRBPGame
 from repro.core.rbp import RBPGame
 from repro.core.strategy import PRBPSchedule, RBPSchedule
@@ -41,6 +43,7 @@ from repro.api import bounds
 from repro.api.bounds import authenticated_instance, authenticated_instance_cache_clear
 from repro.bounds.hongkung import rbp_lower_bound_exact
 from repro.bounds.prbp_bounds import prbp_dominator_lower_bound_exact, prbp_edge_lower_bound_exact
+from repro.service import protocol
 from repro.solvers import anytime
 from repro.solvers.exhaustive import root_lower_bound
 from repro.solvers.greedy import topological_prbp_schedule
@@ -420,6 +423,51 @@ class TestSolveBoundary:
         solve(PebblingProblem(dag, r=r, game=game), solver=solver)
         assert constructed == []
         assert replays == [game]
+
+    @pytest.fixture
+    def moves_made(self, monkeypatch):
+        """Every RBPMove/PRBPMove constructed while the test runs."""
+        made = []
+        for move_cls in (RBPMove, PRBPMove):
+            original = move_cls.__post_init__
+
+            def counting_post_init(self, _original=original):
+                made.append(type(self).__name__)
+                _original(self)
+
+            monkeypatch.setattr(move_cls, "__post_init__", counting_post_init)
+        return made
+
+    @pytest.mark.parametrize(
+        "solver, dag, r, game",
+        [
+            ("fft-blocked", fft_dag(16), 4, "prbp"),
+            ("matmul-tiled", matmul_dag(3, 3, 3), 4, "prbp"),
+            ("tree", kary_tree_dag(2, 4), 3, "rbp"),
+        ],
+        ids=["fft-prbp-converted", "matmul-prbp", "tree-rbp"],
+    )
+    def test_structured_solve_builds_no_move(self, moves_made, solver, dag, r, game):
+        solve(PebblingProblem(dag, r=r, game=game), solver=solver)
+        assert moves_made == []
+
+    @pytest.mark.parametrize("game, r", [("rbp", 4), ("prbp", 2)])
+    def test_refined_heuristic_solve_builds_no_move(self, moves_made, game, r):
+        dag = random_layered_dag((8,) * 5, 0.3, max_in_degree=3, seed=0)
+        result = solve(PebblingProblem(dag, r=r, game=game))
+        assert result.solver == "greedy"
+        assert result.solve_stats.refinement.accepted > 0
+        assert moves_made == []
+
+    def test_warm_cache_and_wire_decode_build_no_move(self, moves_made, tmp_path):
+        problem = PebblingProblem(kary_tree_dag(2, 4), r=3, game="prbp")
+        [cold] = solve_many([problem], cache=ResultCache(directory=tmp_path))
+        warm_cache = ResultCache(directory=tmp_path)  # empty memory tier: a disk hit
+        [warm] = solve_many([problem], cache=warm_cache)
+        assert warm_cache.stats.hits == 1
+        remote = protocol.result_from_wire(problem, protocol.result_to_wire(warm))
+        assert moves_made == []
+        assert warm.schedule.rows == cold.schedule.rows == remote.schedule.rows
 
     @pytest.mark.parametrize("game", ["rbp", "prbp"])
     def test_anytime_solver_builds_no_game_engine(self, monkeypatch, game):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.conversion import convert_rbp_moves_to_prbp_moves, convert_rbp_to_prbp
+from repro.core.conversion import convert_rbp_to_prbp
 from repro.core.dag import ComputationalDAG
 from repro.core.exceptions import IllegalMoveError
 from repro.core.moves import MoveKind, rbp
@@ -87,7 +87,7 @@ class TestProposition41Conversion:
     def test_move_translation_expands_computes(self):
         dag = ComputationalDAG(3, [(0, 2), (1, 2)])
         moves = [rbp.load(0), rbp.load(1), rbp.compute(2), rbp.save(2)]
-        prbp_moves = convert_rbp_moves_to_prbp_moves(dag, moves)
+        prbp_moves = convert_rbp_to_prbp(RBPSchedule(dag, 3, moves)).moves
         computes = [m for m in prbp_moves if m.kind is MoveKind.COMPUTE]
         assert len(computes) == 2
         assert {m.edge for m in computes} == {(0, 2), (1, 2)}
@@ -118,4 +118,4 @@ class TestProposition41Conversion:
     def test_sliding_moves_cannot_be_converted(self):
         dag = ComputationalDAG(2, [(0, 1)])
         with pytest.raises(IllegalMoveError):
-            convert_rbp_moves_to_prbp_moves(dag, [rbp.compute(1, slide_from=0)])
+            convert_rbp_to_prbp(RBPSchedule(dag, 2, [rbp.compute(1, slide_from=0)]))

@@ -8,17 +8,18 @@ detail — these tests make that impossible to do silently.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from repro.api import PebblingProblem, solve
+from repro.core import schedule_ir as sir
 from repro.core.dag import ComputationalDAG
 from repro.core.schedule_ir import (
     OP_COMPUTE,
     OP_DELETE,
     OP_LOAD,
     OP_SAVE,
-    decode_moves,
     encode_moves,
 )
 from repro.core.strategy import PRBPSchedule
@@ -33,6 +34,7 @@ from repro.dags.gadgets import (
 from repro.dags.linalg import matvec_dag
 from repro.dags.random_dags import random_layered_dag
 from repro.dags.trees import kary_tree_dag, optimal_prbp_tree_cost, optimal_rbp_tree_cost
+from repro.solvers import structured
 from repro.solvers.anytime import refine_schedule
 from repro.solvers.greedy import greedy_rbp_schedule, topological_prbp_schedule
 
@@ -342,6 +344,132 @@ def test_greedy_rbp_rows_are_pinned(seed, r, digest):
     assert _rows_digest("rbp", schedule.moves) == digest
 
 
+#: (strategy in ``structured.__all__``, its instance at capacity ``r``,
+#: minimum ``r``) on small instances of each family.
+STRUCTURED_CASES = {
+    "figure1_prbp_schedule": (lambda r: structured.figure1_prbp_schedule(r=r), structured.FIGURE1_MIN_R),
+    "figure1_rbp_schedule": (lambda r: structured.figure1_rbp_schedule(r=r), structured.FIGURE1_MIN_R),
+    "chained_gadget_prbp_schedule": (
+        lambda r: structured.chained_gadget_prbp_schedule(copies=2, r=r),
+        structured.CHAINED_GADGET_MIN_R,
+    ),
+    "matvec_prbp_schedule": (lambda r: structured.matvec_prbp_schedule(m=3, r=r), structured.matvec_min_r(3)),
+    "zipper_prbp_schedule": (
+        lambda r: structured.zipper_prbp_schedule(d=2, length=5, r=r),
+        structured.zipper_min_r(2),
+    ),
+    "zipper_rbp_schedule": (
+        lambda r: structured.zipper_rbp_schedule(d=2, length=5, r=r),
+        structured.zipper_min_r(2),
+    ),
+    "tree_rbp_schedule": (lambda r: structured.tree_rbp_schedule(k=2, depth=3, r=r), structured.tree_min_r(2)),
+    "tree_prbp_schedule": (lambda r: structured.tree_prbp_schedule(k=2, depth=4, r=r), structured.tree_min_r(2)),
+    "collection_full_rbp_schedule": (
+        lambda r: structured.collection_full_rbp_schedule(d=2, length=4, r=r),
+        structured.collection_min_r(2),
+    ),
+    "collection_full_prbp_schedule": (
+        lambda r: structured.collection_full_prbp_schedule(d=2, length=4, r=r),
+        structured.collection_min_r(2),
+    ),
+    "fanin_groups_prbp_schedule": (
+        lambda r: structured.fanin_groups_prbp_schedule(num_groups=3, group_size=3, r=r),
+        structured.FANIN_MIN_R,
+    ),
+    "fft_blocked_rbp_schedule": (lambda r: structured.fft_blocked_rbp_schedule(m=8, r=r), structured.FFT_MIN_R),
+    "fft_blocked_prbp_schedule": (lambda r: structured.fft_blocked_prbp_schedule(m=8, r=r), structured.FFT_MIN_R),
+    "matmul_tiled_prbp_schedule": (
+        lambda r: structured.matmul_tiled_prbp_schedule(m1=3, m2=3, m3=3, r=r),
+        structured.MATMUL_MIN_R,
+    ),
+    "attention_flash_prbp_schedule": (
+        lambda r: structured.attention_flash_prbp_schedule(m=4, d=2, r=r),
+        structured.attention_min_r(2),
+    ),
+}
+
+#: (strategy, r offset above its minimum, pinned rows digest).
+STRUCTURED_DIGESTS = [
+    ("figure1_prbp_schedule", 0, "b6b228dde6c0b9fea1278c2ec7b36b85a10973dfac2fa8c149b48bccb4fd7164"),
+    ("figure1_prbp_schedule", 1, "b6b228dde6c0b9fea1278c2ec7b36b85a10973dfac2fa8c149b48bccb4fd7164"),
+    ("figure1_rbp_schedule", 0, "c07f90172ad00169c63a71877d087bf5094adeb2b65a5cf7d4fbedae899c4139"),
+    ("figure1_rbp_schedule", 1, "c07f90172ad00169c63a71877d087bf5094adeb2b65a5cf7d4fbedae899c4139"),
+    ("chained_gadget_prbp_schedule", 0, "b73bc272079abda290e70fffed946818a2a71269c57a60a880e816d32135ebe4"),
+    ("chained_gadget_prbp_schedule", 1, "b73bc272079abda290e70fffed946818a2a71269c57a60a880e816d32135ebe4"),
+    ("matvec_prbp_schedule", 0, "4e7431d9b4bd51ec7c5e37288b32f89c998cf5cf3868a3aa35f2a37f280321ac"),
+    ("matvec_prbp_schedule", 1, "4e7431d9b4bd51ec7c5e37288b32f89c998cf5cf3868a3aa35f2a37f280321ac"),
+    ("zipper_prbp_schedule", 0, "b51e0da50f37596d2ddba4d31bb1258c734a0b312be51b66a8a3ccd617a30ba3"),
+    ("zipper_prbp_schedule", 1, "b51e0da50f37596d2ddba4d31bb1258c734a0b312be51b66a8a3ccd617a30ba3"),
+    ("zipper_rbp_schedule", 0, "0e3fc7f4575e60573e2f16ac3c1256ee662fdd622e906b5289b968b10083a665"),
+    ("zipper_rbp_schedule", 1, "0e3fc7f4575e60573e2f16ac3c1256ee662fdd622e906b5289b968b10083a665"),
+    ("tree_rbp_schedule", 0, "8cd669cef4a80bdfaed0e5dc14ebcb588eaed82bf4ab16fe087f3b49e62e8ecb"),
+    ("tree_rbp_schedule", 1, "8cd669cef4a80bdfaed0e5dc14ebcb588eaed82bf4ab16fe087f3b49e62e8ecb"),
+    ("tree_prbp_schedule", 0, "a47b99af19d0c7a392f623b1e21e3f441dbf7e689fe8354f0a5a9fc008000df6"),
+    ("tree_prbp_schedule", 1, "a47b99af19d0c7a392f623b1e21e3f441dbf7e689fe8354f0a5a9fc008000df6"),
+    ("collection_full_rbp_schedule", 0, "4b82271bee718b2b71ffd24a615d4b6b6d335b30d018dd6dea854e247081eccb"),
+    ("collection_full_rbp_schedule", 1, "4b82271bee718b2b71ffd24a615d4b6b6d335b30d018dd6dea854e247081eccb"),
+    ("collection_full_prbp_schedule", 0, "d3b60573bb7d2170a25c11f97442fa2ed8c57fe40c856a9b6b3c1a14e26935ac"),
+    ("collection_full_prbp_schedule", 1, "d3b60573bb7d2170a25c11f97442fa2ed8c57fe40c856a9b6b3c1a14e26935ac"),
+    ("fanin_groups_prbp_schedule", 0, "ce4d99da1af78a5c1f6203d5ccc3ec3483544f4905a63ddb1e6ced96be93d3b2"),
+    ("fanin_groups_prbp_schedule", 1, "ce4d99da1af78a5c1f6203d5ccc3ec3483544f4905a63ddb1e6ced96be93d3b2"),
+    ("fft_blocked_rbp_schedule", 0, "87eeabe36430423537e8f9c159b6408a297ad625b9a1daf659ff8c424fa1bbc5"),
+    ("fft_blocked_rbp_schedule", 1, "87eeabe36430423537e8f9c159b6408a297ad625b9a1daf659ff8c424fa1bbc5"),
+    ("fft_blocked_prbp_schedule", 0, "fed7a9365cf89c994898f9362ac7ace09e3e6c023598b751eef24ad0aa0cc0ed"),
+    ("fft_blocked_prbp_schedule", 1, "fed7a9365cf89c994898f9362ac7ace09e3e6c023598b751eef24ad0aa0cc0ed"),
+    ("matmul_tiled_prbp_schedule", 0, "8720084862abb7cf75a57bfe5a474bbfc6be082a558f581da8a7a2e3fb1bb00d"),
+    ("matmul_tiled_prbp_schedule", 1, "8720084862abb7cf75a57bfe5a474bbfc6be082a558f581da8a7a2e3fb1bb00d"),
+    ("attention_flash_prbp_schedule", 0, "6bedebb8414e2f9055ec9dc6511378fea92630452560f2c3e8859f99aa7d86df"),
+    ("attention_flash_prbp_schedule", 1, "6bedebb8414e2f9055ec9dc6511378fea92630452560f2c3e8859f99aa7d86df"),
+]
+
+
+def test_every_structured_strategy_is_pinned():
+    strategies = {name for name in structured.__all__ if name.endswith("_schedule")}
+    assert strategies == set(STRUCTURED_CASES) == {d[0] for d in STRUCTURED_DIGESTS}
+
+
+@pytest.mark.parametrize(
+    "name, extra, digest", STRUCTURED_DIGESTS, ids=[f"{d[0]}-min+{d[1]}" for d in STRUCTURED_DIGESTS]
+)
+def test_structured_rows_are_pinned(name, extra, digest):
+    build, min_r = STRUCTURED_CASES[name]
+    schedule = build(min_r + extra)
+    game = "rbp" if "_rbp_" in name else "prbp"
+    assert _rows_digest(game, schedule.moves) == digest
+
+
+#: (game, pinned ``ir_digest``, row count, SHA-256 of the canonical JSON of
+#: the ``pack_arrays`` payload) of the greedy pebbling of ``_layered(0)``:
+#: the bytes the result cache and the wire protocol store and send.
+IR_PINS = [
+    (
+        "rbp",
+        "8c1bda9d0eede802207fe9a0a2b02e0874d9f5f86aaadd2315e9447410f44306",
+        183,
+        "53a4b1db268b11a9ccb3cf9d00666c5b19c901f0352ce703e67df410a10f8d6e",
+    ),
+    (
+        "prbp",
+        "03877a252ec85d86a0b36b3c948b0dbf9e84364c6b90035e7825617a020e0365",
+        241,
+        "93b4075a227a204787392aa5309a4327315fc5625e20fe4a88fbed3de1a67666",
+    ),
+]
+
+
+@pytest.mark.parametrize("game, digest, count, payload", IR_PINS, ids=[p[0] for p in IR_PINS])
+def test_ir_digest_and_packed_payload_are_pinned(game, digest, count, payload):
+    dag = _layered(0)
+    if game == "rbp":
+        schedule = greedy_rbp_schedule(dag, 4)
+    else:
+        schedule = topological_prbp_schedule(dag, 3)
+    assert sir.ir_digest(schedule) == digest
+    doc = sir.pack_arrays(schedule)
+    assert doc["count"] == count
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == payload
+
+
 def test_round_trip_behind_an_earlier_candidate_is_elided():
     # Sources 0, 1; 0 -> 2 -> 3 <- 1; sink 3.  Under no-deletion the save of
     # 2 (index 4) cannot be elided: the light-red delete after it would become
@@ -350,22 +478,19 @@ def test_round_trip_behind_an_earlier_candidate_is_elided():
     # before the one scored just before it; removing it is legal and saves
     # two I/Os.  Two steps score exactly those two candidates.
     dag = ComputationalDAG(4, [(0, 2), (2, 3), (1, 3)])
-    moves = decode_moves(
-        "prbp",
-        [
-            (OP_LOAD, 0, -1),
-            (OP_COMPUTE, 0, 2),
-            (OP_DELETE, 0, -1),
-            (OP_COMPUTE, 2, 3),
-            (OP_SAVE, 2, -1),
-            (OP_DELETE, 2, -1),
-            (OP_LOAD, 1, -1),
-            (OP_COMPUTE, 1, 3),
-            (OP_LOAD, 0, -1),
-            (OP_SAVE, 3, -1),
-        ],
-    )
-    schedule = PRBPSchedule(dag, 3, moves, variant=NO_DELETE)
+    rows = [
+        (OP_LOAD, 0, -1),
+        (OP_COMPUTE, 0, 2),
+        (OP_DELETE, 0, -1),
+        (OP_COMPUTE, 2, 3),
+        (OP_SAVE, 2, -1),
+        (OP_DELETE, 2, -1),
+        (OP_LOAD, 1, -1),
+        (OP_COMPUTE, 1, 3),
+        (OP_LOAD, 0, -1),
+        (OP_SAVE, 3, -1),
+    ]
+    schedule = PRBPSchedule.from_rows(dag, 3, rows, variant=NO_DELETE)
     refined, trajectory = refine_schedule(schedule, steps=2, seed=0)
     assert (trajectory.initial_cost, trajectory.refined_cost) == (5, 4)
     assert (trajectory.steps, trajectory.accepted) == (2, 1)

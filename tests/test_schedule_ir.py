@@ -189,24 +189,28 @@ def prbp_case(draw):
 # --------------------------------------------------------------------------- #
 
 
+def _io_cost(schedule, rows, start=None):
+    """``replay_io_cost`` of ``rows`` under ``schedule``'s header."""
+    s = schedule
+    return sir.replay_io_cost(s.dag, s.r, s.variant, s.game, rows, start)
+
+
 @given(rbp_case())
 def test_rbp_kernel_matches_engine(schedule):
     verdict = engine_reference(schedule)
-    ir = sir.from_schedule(schedule)
-    outcome = sir.replay(ir)
+    outcome = sir.replay(schedule)
     assert_outcome_matches(outcome, verdict, schedule)
     # the lean scoring path agrees with the full outcome
-    cost = sir.replay_io_cost(ir.dag, ir.r, ir.variant, ir.game, sir._ir_rows(ir))
+    cost = _io_cost(schedule, schedule.rows)
     assert cost == (outcome.io_cost if outcome.ok else None)
 
 
 @given(prbp_case())
 def test_prbp_kernel_matches_engine(schedule):
     verdict = engine_reference(schedule)
-    ir = sir.from_schedule(schedule)
-    outcome = sir.replay(ir)
+    outcome = sir.replay(schedule)
     assert_outcome_matches(outcome, verdict, schedule)
-    cost = sir.replay_io_cost(ir.dag, ir.r, ir.variant, ir.game, sir._ir_rows(ir))
+    cost = _io_cost(schedule, schedule.rows)
     assert cost == (outcome.io_cost if outcome.ok else None)
 
 
@@ -215,17 +219,16 @@ def test_kernel_stats_matches_schedule_stats(schedule):
     # Schedule.stats() is kernel_stats, so the oracle is the engine walk
     # plus move-kind counts read off the moves
     verdict = engine_reference(schedule)
-    ir = sir.from_schedule(schedule)
     if verdict["failed_at"] is not None:
         with pytest.raises(IllegalMoveError):
-            sir.kernel_stats(ir)
+            sir.kernel_stats(schedule)
         return
     if not verdict["ok"]:
         with pytest.raises(IncompletePebblingError):
-            sir.kernel_stats(ir)
+            sir.kernel_stats(schedule)
         return
     kinds = Counter(mv.kind for mv in schedule.moves)
-    assert sir.kernel_stats(ir) == ScheduleStats(
+    assert sir.kernel_stats(schedule) == ScheduleStats(
         io_cost=verdict["io_cost"],
         loads=kinds[MoveKind.LOAD],
         saves=kinds[MoveKind.SAVE],
@@ -270,7 +273,7 @@ def test_isolated_node_refused_like_engine():
         with pytest.raises(DAGError) as engine:
             game_cls(dag, 3)
         with pytest.raises(DAGError) as kernel:
-            sir.kernel_stats(sir.from_schedule(make(dag, 3, [])))
+            sir.kernel_stats(make(dag, 3, []))
         assert str(kernel.value) == str(engine.value) == "node 3 (v3) is isolated"
 
 
@@ -306,15 +309,15 @@ def legal_case(draw):
     return schedule_cls(dag, r, list(game_state.history), variant=variant)
 
 
-def _replay_rows(ir, rows):
-    columns = [list(c) for c in zip(*rows)] if rows else [[], [], []]
-    return sir.replay(sir.ir_from_arrays(ir.game, ir.dag, ir.r, ir.variant, *columns))
+def _replay_rows(schedule, rows):
+    s = schedule
+    return sir.replay(type(s).from_rows(s.dag, s.r, rows, s.variant))
 
 
 @given(legal_case(), st.data())
 def test_resumed_replay_matches_full_replay(schedule, data):
-    ir = sir.from_schedule(schedule)
-    rows = sir._ir_rows(ir)
+    s = schedule
+    rows = s.rows
     k = data.draw(st.integers(min_value=0, max_value=len(rows)), label="k")
     suffixes = [rows[k:]]
     if k < len(rows):
@@ -322,62 +325,70 @@ def test_resumed_replay_matches_full_replay(schedule, data):
         drop = data.draw(st.integers(min_value=k, max_value=len(rows) - 1), label="drop")
         suffixes.append(rows[k:drop] + rows[drop + 1 :])
     for suffix in suffixes:
-        start = sir.start_state(ir.dag, ir.game)
-        assert sir.advance(ir.dag, ir.r, ir.variant, ir.game, rows[:k], start) is None
-        full = _replay_rows(ir, rows[:k] + suffix)
-        cost = sir.replay_io_cost(ir.dag, ir.r, ir.variant, ir.game, suffix, start)
+        start = sir.start_state(s.dag, s.game)
+        assert sir.advance(s.dag, s.r, s.variant, s.game, rows[:k], start) is None
+        full = _replay_rows(s, rows[:k] + suffix)
+        cost = _io_cost(s, suffix, start)
         assert cost == (full.io_cost if full.ok else None)
         assert (start.io, start.peak) == (full.io_cost, full.peak_red)
-        assert sir.replay_io_cost(
-            ir.dag, ir.r, ir.variant, ir.game, rows[:k] + suffix
-        ) == cost
+        assert _io_cost(s, rows[:k] + suffix) == cost
 
 
 # --------------------------------------------------------------------------- #
-# round-trips: schedule -> IR -> schedule -> IR is bit-identical
+# round-trips: Moves -> rows -> Moves, and rows -> wire -> rows, are exact
 # --------------------------------------------------------------------------- #
 
 
 @given(rbp_case() | prbp_case())
 def test_round_trip_bit_identical(schedule):
-    ir = sir.from_schedule(schedule)
-    back = sir.to_schedule(ir)
-    assert back.moves == schedule.moves
-    assert back.r == schedule.r and back.variant == schedule.variant
-    assert back.description == schedule.description
-    ir2 = sir.from_schedule(back)
-    for a, b in ((ir.op, ir2.op), (ir.node, ir2.node), (ir.arg, ir2.arg)):
-        np.testing.assert_array_equal(a, b)
-        assert a.dtype == b.dtype == np.int32
-    assert sir.ir_digest(ir) == sir.ir_digest(ir2)
+    # the Move-list constructor and the .moves view are a bijection
+    moves = list(schedule.moves)
+    made = type(schedule)(
+        schedule.dag,
+        schedule.r,
+        moves,
+        variant=schedule.variant,
+        description=schedule.description,
+    )
+    assert made.moves == moves
+    assert made.rows == sir.encode_moves(schedule.game, moves)
+    assert sir.decode_moves(schedule.game, made.rows) == moves
+    assert made == schedule
+    assert sir.ir_digest(made) == sir.ir_digest(schedule)
 
 
 @given(rbp_case() | prbp_case())
 def test_wire_codec_round_trip(schedule):
-    ir = sir.from_schedule(schedule)
-    doc = sir.pack_arrays(ir)
-    assert doc["count"] == len(ir)
+    doc = sir.pack_arrays(schedule)
+    assert doc["count"] == len(schedule)
     op, node, arg = sir.unpack_arrays(doc)
+    for column in (op, node, arg):
+        assert column.dtype == np.int32
     rebuilt = sir.ir_from_arrays(
-        ir.game, ir.dag, ir.r, ir.variant, op, node, arg, description=ir.description
+        schedule.game,
+        schedule.dag,
+        schedule.r,
+        schedule.variant,
+        op,
+        node,
+        arg,
+        description=schedule.description,
     )
-    assert sir.ir_digest(rebuilt) == sir.ir_digest(ir)
-    assert sir.to_schedule(rebuilt).moves == schedule.moves
+    assert sir.ir_digest(rebuilt) == sir.ir_digest(schedule)
+    assert rebuilt.rows == schedule.rows
+    assert rebuilt.moves == schedule.moves
+    # the per-op counts the wire check reads off the columns are the row check's
+    counts = sir._validate_rows(schedule.game, schedule.dag.n, schedule.rows)
+    assert rebuilt._op_counts == counts
 
 
 def test_digest_changes_with_content():
     dag = figure1_gadget()
     moves = [RBPMove(MoveKind.LOAD, 0), RBPMove(MoveKind.DELETE, 0)]
-    base = sir.from_schedule(RBPSchedule(dag, 3, moves))
-    assert sir.ir_digest(base) != sir.ir_digest(
-        sir.from_schedule(RBPSchedule(dag, 4, moves))
-    )
-    assert sir.ir_digest(base) != sir.ir_digest(
-        sir.from_schedule(RBPSchedule(dag, 3, moves[:1]))
-    )
-    assert sir.ir_digest(base) != sir.ir_digest(
-        sir.from_schedule(RBPSchedule(dag, 3, moves, variant=NO_DELETE))
-    )
+    base = RBPSchedule(dag, 3, moves)
+    assert sir.ir_digest(base) != sir.ir_digest(RBPSchedule(dag, 4, moves))
+    assert sir.ir_digest(base) != sir.ir_digest(RBPSchedule(dag, 3, moves[:1]))
+    assert sir.ir_digest(base) != sir.ir_digest(RBPSchedule(dag, 3, moves, variant=NO_DELETE))
 
 
 # --------------------------------------------------------------------------- #
@@ -386,8 +397,8 @@ def test_digest_changes_with_content():
 
 
 def _sample_doc():
-    ir = sir.from_schedule(greedy_rbp_schedule(kary_tree_dag(2, 2), 3))
-    return ir, sir.pack_arrays(ir)
+    schedule = greedy_rbp_schedule(kary_tree_dag(2, 2), 3)
+    return schedule, sir.pack_arrays(schedule)
 
 
 @pytest.mark.parametrize(
@@ -454,15 +465,16 @@ def test_tampered_columns_rejected(game, op, node, arg, fragment):
 def test_tampered_column_changes_digest_and_fails_replay():
     # flipping one stored byte must be *detected* — either the columns no
     # longer validate, or the digest moves and the kernel verdict changes
-    ir, doc = _sample_doc()
+    schedule, doc = _sample_doc()
     op, node, arg = sir.unpack_arrays(doc)
     node = node.copy()
-    node[0] = (node[0] + 1) % ir.dag.n
-    tampered = sir.ir_from_arrays("rbp", ir.dag, ir.r, ir.variant, op, node, arg)
-    assert sir.ir_digest(tampered) != sir.ir_digest(ir)
+    node[0] = (node[0] + 1) % schedule.dag.n
+    s = schedule
+    tampered = sir.ir_from_arrays("rbp", s.dag, s.r, s.variant, op, node, arg)
+    assert sir.ir_digest(tampered) != sir.ir_digest(schedule)
     assert sir.replay(tampered).ok is False or sir.kernel_stats(
         tampered
-    ) != sir.kernel_stats(ir)
+    ) != sir.kernel_stats(schedule)
 
 
 # --------------------------------------------------------------------------- #
@@ -473,38 +485,30 @@ def test_tampered_column_changes_digest_and_fails_replay():
 def test_empty_schedule_round_trips_and_replays():
     dag = figure1_gadget()
     for make, game in ((RBPSchedule, "rbp"), (PRBPSchedule, "prbp")):
-        ir = sir.from_schedule(make(dag, 2, []))
-        assert len(ir) == 0 and ir.game == game
-        outcome = sir.replay(ir)
+        schedule = make(dag, 2, [])
+        assert len(schedule) == 0 and schedule.game == game
+        outcome = sir.replay(schedule)
         assert outcome.legal and not outcome.terminal
         assert outcome.io_cost == 0 and outcome.peak_red == 0
-        assert sir.to_schedule(ir).moves == []
+        assert schedule.rows == [] and schedule.moves == []
+        assert sir.pack_arrays(schedule)["count"] == 0
 
 
 def test_prbp_sliding_ir_rejected_like_engine():
     dag = figure1_gadget()
     with pytest.raises(ValueError):
         PRBPGame(dag, 3, variant=SLIDING)
-    ir = sir.ScheduleIR(
-        game="prbp",
-        dag=dag,
-        r=3,
-        variant=SLIDING,
-        op=np.empty(0, dtype=np.int32),
-        node=np.empty(0, dtype=np.int32),
-        arg=np.empty(0, dtype=np.int32),
-        description="",
-    )
     with pytest.raises(ValueError):
-        sir.replay(ir)
+        sir.replay(PRBPSchedule.from_rows(dag, 3, [], variant=SLIDING))
 
 
 def test_out_of_range_nodes_unrepresentable_at_encode():
+    # the kernel indexes flat per-node tables, so it refuses such rows
     dag = figure1_gadget()
-    with pytest.raises(ValueError):
-        sir.from_schedule(RBPSchedule(dag, 3, [RBPMove(MoveKind.LOAD, dag.n)]))
-    with pytest.raises(ValueError):
-        sir.from_schedule(
+    with pytest.raises(ValueError, match="out of range"):
+        sir.kernel_stats(RBPSchedule(dag, 3, [RBPMove(MoveKind.LOAD, dag.n)]))
+    with pytest.raises(ValueError, match="out of range"):
+        sir.kernel_stats(
             PRBPSchedule(dag, 3, [PRBPMove(MoveKind.COMPUTE, edge=(0, dag.n + 4))])
         )
 
@@ -517,7 +521,7 @@ def test_compute_cost_variants_match_engine():
     ):
         schedule = topological_prbp_schedule(dag, 4, variant=variant)
         verdict = engine_reference(schedule)
-        outcome = sir.replay(sir.from_schedule(schedule))
+        outcome = sir.replay(schedule)
         assert_outcome_matches(outcome, verdict, schedule)
         assert outcome.compute_cost_total > 0
 
