@@ -23,7 +23,7 @@ from repro.core.schedule_ir import (
     encode_moves,
 )
 from repro.core.strategy import PRBPSchedule
-from repro.core.variants import NO_DELETE
+from repro.core.variants import NO_DELETE, ONE_SHOT, RECOMPUTE, SLIDING
 from repro.dags.fft import fft_dag
 from repro.dags.gadgets import (
     chained_gadget_dag,
@@ -342,6 +342,83 @@ GREEDY_RBP_DIGESTS = [
 def test_greedy_rbp_rows_are_pinned(seed, r, digest):
     schedule = greedy_rbp_schedule(_layered(seed), r)
     assert _rows_digest("rbp", schedule.moves) == digest
+
+
+#: Variants each exhaustive search accepts (PRBP has no sliding rule and no
+#: re-computation in its exact search).
+EXHAUSTIVE_VARIANTS = {
+    "rbp": {"one_shot": ONE_SHOT, "recompute": RECOMPUTE, "sliding": SLIDING, "no_delete": NO_DELETE},
+    "prbp": {"one_shot": ONE_SHOT, "no_delete": NO_DELETE},
+}
+
+
+def _exhaustive_min_r(dag, game, variant):
+    if game == "prbp":
+        return 2
+    return dag.max_in_degree + (0 if variant.allow_sliding else 1)
+
+
+#: The instances of the exhaustive pins: the Figure 1 gadget, the depth-3
+#: binary tree, and four layered DAGs shaped like a small exact stratum.
+EXHAUSTIVE_DAGS = {
+    "figure1": figure1_gadget,
+    "tree-d3": lambda: kary_tree_dag(2, 3),
+    **{
+        f"layered-s{seed}": (
+            lambda seed=seed: random_layered_dag((3, 3, 2, 1), 0.6, max_in_degree=2, seed=seed)
+        )
+        for seed in range(4)
+    },
+}
+
+#: (instance, game, variant name, r offset above the minimum, pinned rows
+#: digest) of ``solve(..., solver="exhaustive")``.  Many optimal schedules
+#: tie on cost; the digest pins the one A* returns, so a change of successor
+#: order, tie-break or dominance prune shows here.
+EXHAUSTIVE_DIGESTS = [
+    ("figure1", "rbp", "one_shot", 1, "3e57d098608b976b6ecc7f0c344bcbcd31c7e56b50d317f93fa7090941ac0825"),
+    ("figure1", "prbp", "one_shot", 2, "bd2a83bd0a4c0c12d6856f26a96e3ed308e7935f473796762a43259267b600a8"),
+    ("tree-d3", "rbp", "one_shot", 0, "cf6a42cfb143ff68e31160180a4dd8ffb0b81bf0aeabc802e92c1f2e3dc729f3"),
+    ("tree-d3", "prbp", "one_shot", 0, "bc8a1e696d53545c88ad9b7f1b292dd81cfc23a7aa4c69a8ca749bbbf0d6426a"),
+    ("layered-s0", "rbp", "one_shot", 0, "66bb5bb18c3cd416f9b19d2e4a72005a6fcac3efbd76b008708dbf08309adc93"),
+    ("layered-s0", "rbp", "recompute", 0, "5ed805ff9a056dd1a7a5c44e88688a538402abd2b2b336898c3f5cfc1b15d5ea"),
+    ("layered-s0", "rbp", "sliding", 0, "abccc1ab0a8462f749aef0cec02b80aa04e034b6c474092d0314c9864669c3c0"),
+    ("layered-s0", "rbp", "no_delete", 0, "1613a7357258f3c68dd49f29f58ea2e38efe2b381bdecc93fcd166e1b69ac42d"),
+    ("layered-s0", "prbp", "one_shot", 0, "6d5246d283d38ea2c3cdf52322f68825bab458bef1540dc26ba49fa6f1aac918"),
+    ("layered-s0", "prbp", "no_delete", 0, "9c1a9bc99fa20c8000aefc06c5acd695c687d8208a4571228bced1ace94d6e81"),
+    ("layered-s1", "rbp", "one_shot", 0, "549c7ff8ee1e27d0c7deae5d55228a7b7280427ce231b64a1e98eac25a78f490"),
+    ("layered-s1", "rbp", "recompute", 0, "39b6d32a3b8418b0e24afdc0ae7bc06bedc388eafd911b261f235e8cdf9f4a98"),
+    ("layered-s1", "rbp", "sliding", 0, "473ba8b8b538467dfc909413212989d41a5c6a4c0d90eb44ae475cb4ea8f83fa"),
+    ("layered-s1", "rbp", "no_delete", 0, "d5353ef4abb00423aaf0bb29b3e8674c9ce6089e740bfa147e6ed7fe0c732084"),
+    ("layered-s1", "prbp", "one_shot", 0, "ec88ea0773c6fa6762d9473c9c542ac6a31db8d9a49856fc12f7ad042b77f278"),
+    ("layered-s1", "prbp", "no_delete", 0, "db4a9ac087607d07d2911520d22520aeea23788bd8ba3f8e3772e67c2c5783f6"),
+    ("layered-s2", "rbp", "one_shot", 0, "9269876f842e13e6b76a10551b4d377458b550a39a54dbfb19d283eeb3828fb5"),
+    ("layered-s2", "rbp", "recompute", 0, "cab39bd93e38c5f0c3bace5ee2f4c5852816d18aa58915085365323501f8e917"),
+    ("layered-s2", "rbp", "sliding", 0, "d71da908f2c62b9cef1ee87d3a91e0241b1aa7b062d9f1cc49f11362baee4b90"),
+    ("layered-s2", "rbp", "no_delete", 0, "fbdeb45d736017c0bf5279abcb1443c66038aacdb9615a1394173c40807f3fec"),
+    ("layered-s2", "prbp", "one_shot", 0, "e101fbf2b475a24f96c85fcf494e1ace801abc8bed721ea65f635dd6f5a84d33"),
+    ("layered-s2", "prbp", "no_delete", 0, "cb0f2e72393e35e8dc18c19d8c793d35c86d9d58fc59ab54d0050004a4bf6f0f"),
+    ("layered-s3", "rbp", "one_shot", 0, "2da0b77defe06f257f7fcd7fe4659d2c89389b948b2427ed617ae5465838cae0"),
+    ("layered-s3", "rbp", "recompute", 0, "5a8145218306ceebe30c57f35d66365bb0bc735f678110a0d75ac4d464fcabc3"),
+    ("layered-s3", "rbp", "sliding", 0, "f475dcb8fce6768e4fd660970221ee37a049c7cf7492fd1eba4b46c79b71d1a8"),
+    ("layered-s3", "rbp", "no_delete", 0, "9992f04299a65cae7bd16ef915b8296facb3da02013dadef635a5b562145a914"),
+    ("layered-s3", "prbp", "one_shot", 0, "d090eaf5f5b9a6dbbf3d2e14ae271234ae222de35a8c9f28224306c02b6c8a79"),
+    ("layered-s3", "prbp", "no_delete", 0, "2d8f3661d541756c67b7267045f3c8ccc5caeb4da3a96c466d4df73c8e3cab63"),
+]
+
+
+@pytest.mark.parametrize(
+    "label, game, variant_name, extra, digest",
+    EXHAUSTIVE_DIGESTS,
+    ids=[f"{d[0]}-{d[1]}-{d[2]}-min+{d[3]}" for d in EXHAUSTIVE_DIGESTS],
+)
+def test_exhaustive_rows_are_pinned(label, game, variant_name, extra, digest):
+    dag = EXHAUSTIVE_DAGS[label]()
+    variant = EXHAUSTIVE_VARIANTS[game][variant_name]
+    r = _exhaustive_min_r(dag, game, variant) + extra
+    result = solve(PebblingProblem(dag, r, game=game, variant=variant), solver="exhaustive")
+    assert result.optimal
+    assert _rows_digest(game, result.schedule.moves) == digest
 
 
 #: (strategy in ``structured.__all__``, its instance at capacity ``r``,
