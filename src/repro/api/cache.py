@@ -47,7 +47,7 @@ from ..core.schedule_ir import (
     ir_digest,
     ir_from_arrays,
     kernel_stats,
-    pack_arrays,
+    packed_with_digest,
     unpack_arrays,
 )
 from ..core.strategy import ScheduleStats
@@ -445,12 +445,13 @@ class ResultCache:
     def _encode_entry(self, digest: str, result: SolveResult) -> dict:
         """The v3 on-disk document: the schedule's rows as packed columns."""
         schedule = result.schedule
+        arrays, schedule_digest = packed_with_digest(schedule)
         return {
             "format": CACHE_FORMAT_VERSION,
             "digest": digest,
             "problem": result.problem,
-            "arrays": pack_arrays(schedule),
-            "ir_digest": ir_digest(schedule),
+            "arrays": arrays,
+            "ir_digest": schedule_digest,
             "description": schedule.description,
             "stats": result.stats,
             "solver": result.solver,

@@ -8,6 +8,9 @@ Given the current report and a baseline report, flags
 * **I/O-cost regressions** — any achieved cost above the baseline's.  Costs
   are deterministic replays of deterministic schedules, so *any* increase is
   a real algorithmic regression and no threshold applies;
+* **search regressions** — any rise in an exhaustive scenario's
+  ``states_expanded``: A* is deterministic, so more expanded states is a
+  weaker heuristic or prune, never noise, and no threshold applies either;
 * **new failures** — a scenario that errored or missed its expected cost now
   but was healthy in the baseline;
 * **missing scenarios** — present in the baseline but absent from the
@@ -15,8 +18,8 @@ Given the current report and a baseline report, flags
 
 Improvements (faster, cheaper) are reported informationally and never fail.
 
-The comparator reads only ``io_cost``, ``wall_time_s``, ``error`` and
-``expected_ok`` from each record.  Baselines are read with
+The comparator reads only ``io_cost``, ``states_expanded``, ``wall_time_s``,
+``error`` and ``expected_ok`` from each record.  Baselines are read with
 :func:`~repro.bench.report.load_report`, which accepts the current schema
 version only, so a baseline is re-recorded when the schema moves.
 """
@@ -36,6 +39,13 @@ DEFAULT_THRESHOLD = 1.25
 #: Wall times below this floor are treated as equal (timer noise).
 DEFAULT_MIN_WALL_TIME_S = 0.02
 
+#: (record field, regression kind, wording) of the counts any rise of which
+#: is a regression.
+_DETERMINISTIC = (
+    ("io_cost", "io-cost", "I/O cost"),
+    ("states_expanded", "states-expanded", "A* expanded states"),
+)
+
 
 @dataclass(frozen=True)
 class Regression:
@@ -43,7 +53,7 @@ class Regression:
 
     scenario: str
     tier: str
-    kind: str  # "wall-time" | "io-cost" | "failure" | "missing"
+    kind: str  # "wall-time" | "io-cost" | "states-expanded" | "failure" | "missing"
     message: str
     current: Optional[float] = None
     baseline: Optional[float] = None
@@ -135,23 +145,22 @@ def compare_reports(
             )
             continue
 
-        cur_cost, base_cost = cur_rec.get("io_cost"), base_rec.get("io_cost")
-        if isinstance(cur_cost, int) and isinstance(base_cost, int):
-            if cur_cost > base_cost:
-                result.regressions.append(
-                    Regression(
-                        scenario=name,
-                        tier=tier,
-                        kind="io-cost",
-                        message=f"I/O cost rose from {base_cost} to {cur_cost}",
-                        current=float(cur_cost),
-                        baseline=float(base_cost),
+        for key, kind, what in _DETERMINISTIC:
+            cur, base = cur_rec.get(key), base_rec.get(key)
+            if isinstance(cur, int) and isinstance(base, int):
+                if cur > base:
+                    result.regressions.append(
+                        Regression(
+                            scenario=name,
+                            tier=tier,
+                            kind=kind,
+                            message=f"{what} rose from {base} to {cur}",
+                            current=float(cur),
+                            baseline=float(base),
+                        )
                     )
-                )
-            elif cur_cost < base_cost:
-                result.improvements.append(
-                    f"{name} ({tier}): I/O cost fell from {base_cost} to {cur_cost}"
-                )
+                elif cur < base:
+                    result.improvements.append(f"{name} ({tier}): {what} fell from {base} to {cur}")
 
         cur_time, base_time = cur_rec.get("wall_time_s"), base_rec.get("wall_time_s")
         if isinstance(cur_time, (int, float)) and isinstance(base_time, (int, float)):

@@ -36,8 +36,9 @@ SCHEMA_NAME = "repro-prbp-bench"
 #: ``refine_steps``, ``refine_accepted``, ``refine_time_to_best_s``) to every
 #: scenario record.  Version 3 adds the replay-throughput microbenchmark
 #: fields (``replay_speedup``, ``replay_schedules_per_s``,
-#: ``replay_engine_schedules_per_s``).
-SCHEMA_VERSION = 3
+#: ``replay_engine_schedules_per_s``).  Version 4 adds ``states_per_s``, the
+#: A* states expanded per second of an exhaustive scenario's solve.
+SCHEMA_VERSION = 4
 
 
 def environment_metadata() -> Dict[str, object]:

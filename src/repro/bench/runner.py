@@ -87,6 +87,9 @@ class ScenarioRecord:
     replay_speedup: Optional[float] = None
     replay_schedules_per_s: Optional[float] = None
     replay_engine_schedules_per_s: Optional[float] = None
+    #: A* states expanded per wall-clock second of the solve (schema v4);
+    #: None when no exhaustive search ran.
+    states_per_s: Optional[float] = None
     error: Optional[str] = None
 
     @property
@@ -128,6 +131,7 @@ class ScenarioRecord:
             "replay_speedup": self.replay_speedup,
             "replay_schedules_per_s": self.replay_schedules_per_s,
             "replay_engine_schedules_per_s": self.replay_engine_schedules_per_s,
+            "states_per_s": self.states_per_s,
             "error": self.error,
         }
 
@@ -162,6 +166,7 @@ def _finish_record(
 
     solve_stats = result.solve_stats
     trajectory = solve_stats.refinement if solve_stats else None
+    states = solve_stats.states_expanded if solve_stats else None
     return ScenarioRecord(
         n=problem.n,
         m=problem.dag.m,
@@ -174,7 +179,7 @@ def _finish_record(
         optimal=result.optimal,
         solver_used=result.solver,
         expected_ok=expected_ok,
-        states_expanded=solve_stats.states_expanded if solve_stats else None,
+        states_expanded=states,
         states_frontier_peak=solve_stats.states_frontier_peak if solve_stats else None,
         peak_red=result.stats.peak_red,
         moves=result.stats.moves,
@@ -183,6 +188,7 @@ def _finish_record(
         refine_steps=trajectory.steps if trajectory else None,
         refine_accepted=trajectory.accepted if trajectory else None,
         refine_time_to_best_s=trajectory.time_to_best_s if trajectory else None,
+        states_per_s=states / wall_time if states is not None and wall_time else None,
         **base,
     )
 

@@ -28,7 +28,9 @@ The rows, as three ``int32`` columns, are also the interchange format of
 the cache and the wire protocol: :func:`pack_arrays` / :func:`unpack_arrays`
 implement the shared base64 ``int32`` little-endian codec,
 :func:`ir_from_arrays` checks untrusted columns back into a schedule, and
-:func:`ir_digest` fingerprints header + columns for round-trip tests.
+:func:`ir_digest` fingerprints header + columns for round-trip tests
+(:func:`packed_with_digest` makes the payload and the fingerprint from one
+column build, for the cache's disk store).
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ __all__ = [
     "kernel_stats",
     "ir_digest",
     "pack_arrays",
+    "packed_with_digest",
     "unpack_arrays",
     "ir_from_arrays",
 ]
@@ -222,10 +225,13 @@ def _columns(schedule: Schedule) -> np.ndarray:
 
 def ir_digest(schedule: Schedule) -> str:
     """Hex SHA-256 of the schedule's header + columns (byte-exact identity)."""
-    s = schedule
+    return _digest(schedule, _columns(schedule))
+
+
+def _digest(s: Schedule, columns: np.ndarray) -> str:
     h = hashlib.sha256()
     h.update(repr((s.game, s.dag.n, int(s.r), s.variant, s.description, len(s))).encode())
-    for column in _columns(s):
+    for column in columns:
         h.update(np.ascontiguousarray(column, dtype="<i4").tobytes())
     return h.hexdigest()
 
@@ -252,7 +258,17 @@ def _b64_decode(text: object, count: int, field: str) -> np.ndarray:
 
 def pack_arrays(schedule: Schedule) -> Dict[str, object]:
     """The schedule's columns as the compact JSON-safe payload used on disk and wire."""
-    op, node, arg = _columns(schedule)
+    return _pack(schedule, _columns(schedule))
+
+
+def packed_with_digest(schedule: Schedule) -> Tuple[Dict[str, object], str]:
+    """``(pack_arrays(schedule), ir_digest(schedule))`` from one column build."""
+    columns = _columns(schedule)
+    return _pack(schedule, columns), _digest(schedule, columns)
+
+
+def _pack(schedule: Schedule, columns: np.ndarray) -> Dict[str, object]:
+    op, node, arg = columns
     return {
         "count": len(schedule),
         "ops": _b64_encode(op),

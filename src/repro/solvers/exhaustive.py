@@ -12,9 +12,12 @@ Search formulation
 ------------------
 A configuration is the complete game state:
 
-* RBP:  ``(red set, blue set, computed set)`` — three bitmasks;
-* PRBP: ``(per-node pebble state, marked-edge set)`` — a 2-bit-per-node code
-  and an edge bitmask.
+* RBP:  ``(red set, blue set, computed set)`` — three node bitmasks;
+* PRBP: ``(red set, blue set, marked-edge set)`` — two node bitmasks and an
+  edge bitmask.  A node's pebble state is its pair of bits: light red
+  (``red & blue``), dark red (``red & ~blue``), blue only (``blue & ~red``)
+  or none, so the red count is a popcount, the goal test two mask tests and
+  the dominance key three mask operations.
 
 Moves are grouped into *macro moves* in a cost-preserving normal form:
 
@@ -32,18 +35,26 @@ Moves are grouped into *macro moves* in a cost-preserving normal form:
   saves of values that are never needed again are never part of a minimal
   strategy and are not generated.
 
+Macro moves are recorded as ``(op, node, arg)`` rows (:mod:`repro.core.moves`):
+the search's parent links hold the rows of each macro move, shared between
+the successors that make the same move, and the returned schedule is built
+from them with ``from_rows``.
+
 The search is A* with an admissible (not necessarily consistent) heuristic:
 the per-state counting term "number of unsaved sinks plus number of
 sources that still have to be re-loaded" — both count distinct,
-unavoidable future I/O operations from the current configuration.  Every
-f-value is floored at the trivial cost (sources + sinks,
-:func:`root_lower_bound`), but the heuristic already implies that floor:
-a source not yet loaded and a sink not yet saved are each counted by
-``h``, and each one already loaded or saved is counted in ``g``, so
-``g + h`` never falls below it.  The exact S-partition bounds of
-:mod:`repro.bounds` are asymptotic tools: on the small DAGs this search
-can afford they were never found above the trivial cost, so they are not
-consulted.
+unavoidable future I/O operations from the current configuration.  The
+f-values are not floored at the trivial cost (sources + sinks,
+:func:`root_lower_bound`) because the heuristic already implies that
+floor: a source not yet loaded and a sink not yet saved are each counted
+by ``h``, and each one already loaded or saved is counted in ``g``, so
+``g + h`` never falls below it.  A clamp ``max(f, floor)`` would therefore
+never change an f-value; the test-suite's oracle search keeps one, and
+checks that a zero floor changes nothing.  Each search still computes
+:func:`root_lower_bound` once (``root_bound``), the hook perfbench's tracer
+times.  The exact S-partition bounds of :mod:`repro.bounds` are asymptotic
+tools: on the small DAGs this search can afford they were never found
+above the trivial cost, so they are not consulted.
 
 States are re-opened when a cheaper path is found, so inconsistency only
 costs re-expansions, never optimality.  Two further prunes keep the
@@ -71,8 +82,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.dag import ComputationalDAG
 from ..core.exceptions import SolverError
-from ..core.moves import MoveKind, PRBPMove, RBPMove
-from ..core.pebbles import PRBPState
+from ..core.moves import OP_COMPUTE, OP_DELETE, OP_LOAD, OP_SAVE, MoveRow
 from ..core.strategy import PRBPSchedule, RBPSchedule
 from ..core.variants import ONE_SHOT, GameVariant
 from ..obs.recorder import current_recorder
@@ -91,9 +101,11 @@ __all__ = [
 #: Default cap on the number of distinct configurations the solvers may expand.
 DEFAULT_MAX_STATES = 2_000_000
 
+_INF = float("inf")
+
 
 def root_lower_bound(dag: ComputationalDAG, r: int, game: str, variant: GameVariant) -> int:
-    """The floor of every f-value of the A* searches: the trivial cost.
+    """The trivial cost, below which no f-value of the A* searches falls.
 
     Every schedule loads each source and saves each sink at least once, so
     ``dag.trivial_cost()`` bounds the total cost of any valid schedule in
@@ -164,6 +176,13 @@ class _RBPSearch:
         self.succ_mask = [sum(1 << w for w in dag.successors(v)) for v in range(self.n)]
         self.is_source = [dag.is_source(v) for v in range(self.n)]
         self.is_sink = [dag.is_sink(v) for v in range(self.n)]
+        # the rows of each node's moves, shared by every successor that makes them
+        self.load_row = [(OP_LOAD, v, -1) for v in range(self.n)]
+        self.compute_row = [(OP_COMPUTE, v, -1) for v in range(self.n)]
+        self.delete_row = [(OP_DELETE, v, -1) for v in range(self.n)]
+        self.save_move = [((OP_SAVE, v, -1),) for v in range(self.n)]
+        self.load_move = [(row,) for row in self.load_row]
+        self.compute_move = [(row,) for row in self.compute_row]
         if not variant.allow_sliding and r < dag.max_in_degree + 1:
             raise SolverError(
                 f"no valid RBP pebbling exists: r = {r} < max in-degree + 1 = {dag.max_in_degree + 1}"
@@ -222,7 +241,7 @@ class _RBPSearch:
 
     def successors(
         self, state: Tuple[int, int, int]
-    ) -> Iterator[Tuple[Tuple[int, int, int], float, Tuple[RBPMove, ...]]]:
+    ) -> Iterator[Tuple[Tuple[int, int, int], float, Tuple[MoveRow, ...]]]:
         red, blue, computed = state
         red_count = _popcount(red)
         at_capacity = red_count >= self.r
@@ -267,21 +286,21 @@ class _RBPSearch:
                     useful = False  # value can never be needed again
                 if useful:
                     new_red = red if allow_delete else red & ~bit
-                    yield (new_red, blue | bit, computed), 1.0, (RBPMove(MoveKind.SAVE, v),)
+                    yield (new_red, blue | bit, computed), 1.0, self.save_move[v]
 
             # ---- load -------------------------------------------------- #
             if in_blue and not in_red:
                 useful = bool(self.succ_mask[v] & ~computed) if one_shot else bool(self.succ_mask[v])
                 if useful:
                     if not at_capacity:
-                        yield (red | bit, blue, computed), 1.0, (RBPMove(MoveKind.LOAD, v),)
+                        yield (red | bit, blue, computed), 1.0, self.load_move[v]
                     else:
                         for d in deletable:
                             dbit = 1 << d
                             yield (
                                 ((red & ~dbit) | bit, blue, computed),
                                 1.0,
-                                (RBPMove(MoveKind.DELETE, d), RBPMove(MoveKind.LOAD, v)),
+                                (self.delete_row[d], self.load_row[v]),
                             )
 
             # ---- compute ----------------------------------------------- #
@@ -297,10 +316,10 @@ class _RBPSearch:
                         yield (
                             ((red & ~ubit) | bit, blue, computed | bit),
                             cost,
-                            (RBPMove(MoveKind.COMPUTE, v, slide_from=u),),
+                            ((OP_COMPUTE, v, u),),
                         )
                 if not at_capacity:
-                    yield (red | bit, blue, computed | bit), cost, (RBPMove(MoveKind.COMPUTE, v),)
+                    yield (red | bit, blue, computed | bit), cost, self.compute_move[v]
                 else:
                     for d in deletable:
                         dbit = 1 << d
@@ -309,12 +328,18 @@ class _RBPSearch:
                         yield (
                             ((red & ~dbit) | bit, blue, computed | bit),
                             cost,
-                            (RBPMove(MoveKind.DELETE, d), RBPMove(MoveKind.COMPUTE, v)),
+                            (self.delete_row[d], self.compute_row[v]),
                         )
 
 
 class _PRBPSearch:
-    """A* search for the optimal (one-shot) PRBP pebbling of a small DAG."""
+    """A* search for the optimal (one-shot) PRBP pebbling of a small DAG.
+
+    A state is three masks ``(red, blue, marked)``: nodes holding a red
+    pebble, nodes holding a blue pebble, and marked edges.  A node's PRBP
+    pebble state is its pair of bits: light red is ``red & blue``, dark red
+    ``red & ~blue``, blue only ``blue & ~red``, no pebble neither.
+    """
 
     def __init__(self, dag: ComputationalDAG, r: int, variant: GameVariant, max_states: int):
         if not variant.one_shot:
@@ -325,219 +350,146 @@ class _PRBPSearch:
         self.r = r
         self.variant = variant
         self.max_states = max_states
-        self.n = dag.n
-        self.m = dag.m
-        self.edges = dag.edges
-        self.in_edge_ids = [
-            [dag.edge_id(u, v) for u in dag.predecessors(v)] for v in range(self.n)
-        ]
-        self.out_edge_ids = [
-            [dag.edge_id(v, w) for w in dag.successors(v)] for v in range(self.n)
-        ]
-        self.in_edge_mask = [sum(1 << e for e in self.in_edge_ids[v]) for v in range(self.n)]
-        self.out_edge_mask = [sum(1 << e for e in self.out_edge_ids[v]) for v in range(self.n)]
-        self.is_source = [dag.is_source(v) for v in range(self.n)]
-        self.is_sink = [dag.is_sink(v) for v in range(self.n)]
-        self.sinks = list(dag.sinks)
-        self.sources = list(dag.sources)
-        self.all_edges_mask = (1 << self.m) - 1
+        n = dag.n
+        self.source_mask = sum(1 << v for v in dag.sources)
+        self.sink_mask = sum(1 << v for v in dag.sinks)
+        self.all_edges_mask = (1 << dag.m) - 1
+        self.out_edge_mask = [0] * n
+        for eid, (u, _) in enumerate(dag.edges):
+            self.out_edge_mask[u] |= 1 << eid
+        # A dark pebble on a sink still needs its save, and deleting it would
+        # lose the value for good (its in-edges are marked, so it can never be
+        # recomputed); without the delete rule no dark pebble is deletable.
+        self.dark_deletable_mask = ((1 << n) - 1) & ~self.sink_mask if variant.allow_delete else 0
+        # Without the delete rule for dark red pebbles a save may be needed
+        # purely to free the slot, so every dark pebble's save is useful.
+        self.always_save_mask = self.sink_mask if variant.allow_delete else (1 << n) - 1
+        # per edge: its endpoints' bits, its compute cost and rows
+        self.edge_source_bit = [1 << u for u, _ in dag.edges]
+        self.edge_target_bit = [1 << v for _, v in dag.edges]
+        self.edge_cost = []
+        for _, v in dag.edges:
+            cost = float(variant.compute_cost)
+            if cost and variant.split_compute_cost:
+                cost /= dag.in_degree(v)
+            self.edge_cost.append(cost)
+        self.compute_row = [(OP_COMPUTE, u, v) for u, v in dag.edges]
+        self.compute_move = [(row,) for row in self.compute_row]
+        self.load_row = [(OP_LOAD, v, -1) for v in range(n)]
+        self.load_move = [(row,) for row in self.load_row]
+        self.save_move = [((OP_SAVE, v, -1),) for v in range(n)]
+        self.delete_row = [(OP_DELETE, v, -1) for v in range(n)]
         if r < 2 and dag.max_in_degree >= 1:
             raise SolverError(
                 f"no valid PRBP pebbling exists for r = {r} < 2 on a DAG with edges"
             )
+        self._pending_memo: Dict[int, Tuple[int, int, int]] = {}
         self.root_bound = root_lower_bound(dag, r, "prbp", variant)
 
-    # state = (codes, marked) where codes packs 2 bits per node
+    def initial(self) -> Tuple[int, int, int]:
+        return (0, self.source_mask, 0)
 
-    def initial(self) -> Tuple[int, int]:
-        codes = 0
-        for v in self.sources:
-            codes |= int(PRBPState.BLUE) << (2 * v)
-        return (codes, 0)
-
-    def dominance(self, state: Tuple[int, int]) -> Tuple[Tuple[int, int], int]:
+    def dominance(self, state: Tuple[int, int, int]) -> Tuple[Tuple[int, int, int], int]:
         """Dominance key/mask pair.  Light red pebbles are the only freely
         deletable resource (``BLUE_LIGHT_RED -> BLUE`` is always legal, even
-        in the no-deletion variant), so the key normalises every light pebble
-        to plain blue — states agreeing on marked edges, dark pebbles and the
-        blue base are comparable, and a light-set subset at equal-or-higher
-        g-cost is dominated."""
-        codes, marked = state
-        light = int(PRBPState.BLUE_LIGHT_RED)
-        blue = int(PRBPState.BLUE)
-        light_mask = 0
-        base = codes
-        for v in range(self.n):
-            shift = 2 * v
-            if ((codes >> shift) & 3) == light:
-                light_mask |= 1 << v
-                base = (base & ~(3 << shift)) | (blue << shift)
-        return (base, marked), light_mask
+        in the no-deletion variant), so the key is the dark pebbles, the blue
+        base (light pebbles counted as plain blue) and the marked edges:
+        states agreeing on them are comparable, and a light-set subset at
+        equal-or-higher g-cost is dominated."""
+        red, blue, marked = state
+        return (red & ~blue, blue, marked), red & blue
 
-    def _state_of(self, codes: int, v: int) -> int:
-        return (codes >> (2 * v)) & 3
+    def is_goal(self, state: Tuple[int, int, int]) -> bool:
+        red, blue, marked = state
+        return marked == self.all_edges_mask and (blue & self.sink_mask) == self.sink_mask
 
-    def _with_state(self, codes: int, v: int, st: int) -> int:
-        shift = 2 * v
-        return (codes & ~(3 << shift)) | (st << shift)
+    def _pending(self, marked: int) -> Tuple[int, int, int]:
+        """Node masks of what the unmarked edges leave to do: ``(touched,
+        feeding, incomplete)`` — the nodes on an unmarked edge, those with an
+        unmarked out-edge, and those with an unmarked in-edge.  They depend
+        on ``marked`` alone, which far fewer states differ in, so they are
+        memoised per marked set."""
+        pending = self._pending_memo.get(marked)
+        if pending is None:
+            feeding = incomplete = 0
+            unmarked = self.all_edges_mask ^ marked
+            while unmarked:
+                ebit = unmarked & -unmarked
+                unmarked ^= ebit
+                eid = ebit.bit_length() - 1
+                feeding |= self.edge_source_bit[eid]
+                incomplete |= self.edge_target_bit[eid]
+            pending = self._pending_memo[marked] = (feeding | incomplete, feeding, incomplete)
+        return pending
 
-    def is_goal(self, state: Tuple[int, int]) -> bool:
-        codes, marked = state
-        if marked != self.all_edges_mask:
-            return False
-        for v in self.sinks:
-            st = self._state_of(codes, v)
-            if st != int(PRBPState.BLUE) and st != int(PRBPState.BLUE_LIGHT_RED):
-                return False
-        return True
-
-    def heuristic(self, state: Tuple[int, int]) -> int:
-        codes, marked = state
-        NONE = int(PRBPState.NONE)
-        DARK = int(PRBPState.DARK_RED)
-        BLUE = int(PRBPState.BLUE)
-        h = 0
-        for v in range(self.n):
-            st = (codes >> (2 * v)) & 3
-            if self.is_sink[v]:
-                if st == NONE or st == DARK:
-                    h += 1  # a save of this sink is still pending
-            if st == BLUE and ((self.out_edge_mask[v] | self.in_edge_mask[v]) & ~marked):
-                # a blue node with an unmarked incident edge must be loaded
-                # again: marking an out-edge needs v red, and marking an
-                # in-edge needs v's partial value back in fast memory
-                h += 1
-        return h
-
-    def _red_count(self, codes: int) -> int:
-        cnt = 0
-        for v in range(self.n):
-            st = (codes >> (2 * v)) & 3
-            if st == int(PRBPState.BLUE_LIGHT_RED) or st == int(PRBPState.DARK_RED):
-                cnt += 1
-        return cnt
-
-    def _deletable(self, codes: int, marked: int) -> List[Tuple[int, int]]:
-        """Red pebbles that may be deleted right now, as ``(node, resulting state)`` pairs."""
-        out: List[Tuple[int, int]] = []
-        for v in range(self.n):
-            st = (codes >> (2 * v)) & 3
-            if st == int(PRBPState.BLUE_LIGHT_RED):
-                out.append((v, int(PRBPState.BLUE)))
-            elif st == int(PRBPState.DARK_RED):
-                # A dark sink still needs its save; deleting it would lose the
-                # value for good (its in-edges are marked, so it can never be
-                # recomputed) — never generate that dead end.
-                if (
-                    self.variant.allow_delete
-                    and not self.is_sink[v]
-                    and (self.out_edge_mask[v] & ~marked) == 0
-                    and (self.in_edge_mask[v] & ~marked) == 0
-                ):
-                    out.append((v, int(PRBPState.NONE)))
-        return out
+    def heuristic(self, state: Tuple[int, int, int]) -> int:
+        """Sinks without a blue pebble (none or dark) still need their save,
+        and a blue-only node on an unmarked edge must be loaded again:
+        marking an out-edge needs it red, and marking an in-edge needs its
+        partial value back in fast memory."""
+        red, blue, marked = state
+        touched = self._pending(marked)[0]
+        return (self.sink_mask & ~blue).bit_count() + (blue & ~red & touched).bit_count()
 
     def successors(
-        self, state: Tuple[int, int]
-    ) -> Iterator[Tuple[Tuple[int, int], float, Tuple[PRBPMove, ...]]]:
-        codes, marked = state
-        red_count = self._red_count(codes)
-        at_capacity = red_count >= self.r
-        deletable = self._deletable(codes, marked)
-        compute_cost = self.variant.compute_cost
+        self, state: Tuple[int, int, int]
+    ) -> Iterator[Tuple[Tuple[int, int, int], float, Tuple[MoveRow, ...]]]:
+        red, blue, marked = state
+        touched, feeding, incomplete = self._pending(marked)
+        at_capacity = red.bit_count() >= self.r
+        deletable: List[Tuple[int, MoveRow]] = []
+        if at_capacity:
+            # every light pebble, and a dark one with all its edges marked
+            # (sinks and the no-deletion variant aside)
+            x = red & (blue | (self.dark_deletable_mask & ~touched))
+            while x:
+                dbit = x & -x
+                x ^= dbit
+                deletable.append((dbit, self.delete_row[dbit.bit_length() - 1]))
 
-        DARK = int(PRBPState.DARK_RED)
-        LIGHT = int(PRBPState.BLUE_LIGHT_RED)
-        BLUE = int(PRBPState.BLUE)
-        NONE = int(PRBPState.NONE)
-
-        for v in range(self.n):
-            st = (codes >> (2 * v)) & 3
-
-            # ---- save -------------------------------------------------- #
-            if st == DARK:
-                # Without the delete rule for dark red pebbles (no-deletion
-                # variant) a save may be needed purely to free the slot.
-                useful = (
-                    self.is_sink[v]
-                    or bool(self.out_edge_mask[v] & ~marked)
-                    or not self.variant.allow_delete
-                )
-                if useful:
-                    yield (
-                        (self._with_state(codes, v, LIGHT), marked),
-                        1.0,
-                        (PRBPMove(MoveKind.SAVE, node=v),),
-                    )
-
-            # ---- load -------------------------------------------------- #
-            if st == BLUE:
-                needs_more_inputs = bool(self.in_edge_mask[v] & ~marked)
-                feeds_someone = bool(self.out_edge_mask[v] & ~marked)
-                if needs_more_inputs or feeds_someone:
-                    if not at_capacity:
-                        yield (
-                            (self._with_state(codes, v, LIGHT), marked),
-                            1.0,
-                            (PRBPMove(MoveKind.LOAD, node=v),),
-                        )
-                    else:
-                        for d, dst in deletable:
-                            if d == v:
-                                continue
-                            new_codes = self._with_state(codes, d, dst)
-                            new_codes = self._with_state(new_codes, v, LIGHT)
-                            yield (
-                                (new_codes, marked),
-                                1.0,
-                                (
-                                    PRBPMove(MoveKind.DELETE, node=d),
-                                    PRBPMove(MoveKind.LOAD, node=v),
-                                ),
-                            )
-
-        # ---- partial computes ------------------------------------------ #
-        for eid in _bits(self.all_edges_mask & ~marked):
-            u, v = self.edges[eid]
-            stu = (codes >> (2 * u)) & 3
-            if stu != DARK and stu != LIGHT:
-                continue
-            if self.in_edge_mask[u] & ~marked:
-                continue  # u not fully computed yet
-            stv = (codes >> (2 * v)) & 3
-            if stv == BLUE:
-                continue  # v's partial value must first be loaded
-            new_marked = marked | (1 << eid)
-            cost = float(compute_cost)
-            if cost and self.variant.split_compute_cost:
-                cost /= self.dag.in_degree(v)
-            if stv == NONE:
-                if not at_capacity:
-                    yield (
-                        (self._with_state(codes, v, DARK), new_marked),
-                        cost,
-                        (PRBPMove(MoveKind.COMPUTE, edge=(u, v)),),
-                    )
-                else:
-                    for d, dst in deletable:
-                        if d == u or d == v:
-                            continue
-                        new_codes = self._with_state(codes, d, dst)
-                        new_codes = self._with_state(new_codes, v, DARK)
-                        yield (
-                            (new_codes, new_marked),
-                            cost,
-                            (
-                                PRBPMove(MoveKind.DELETE, node=d),
-                                PRBPMove(MoveKind.COMPUTE, edge=(u, v)),
-                            ),
-                        )
+        # ---- saves of dark pebbles and loads of blue-only ones, by node -- #
+        saves = red & ~blue & (self.always_save_mask | feeding)
+        x = saves | (blue & ~red & touched)
+        while x:
+            bit = x & -x
+            x ^= bit
+            v = bit.bit_length() - 1
+            if bit & saves:
+                yield (red, blue | bit, marked), 1.0, self.save_move[v]
+            elif not at_capacity:
+                yield (red | bit, blue, marked), 1.0, self.load_move[v]
             else:
-                yield (
-                    (self._with_state(codes, v, DARK), new_marked),
-                    cost,
-                    (PRBPMove(MoveKind.COMPUTE, edge=(u, v)),),
-                )
+                load = self.load_row[v]
+                for dbit, delete in deletable:
+                    yield ((red & ~dbit) | bit, blue, marked), 1.0, (delete, load)
+
+        # ---- partial computes out of fully computed red nodes, by edge -- #
+        ready = 0
+        x = red & ~incomplete
+        while x:
+            bit = x & -x
+            x ^= bit
+            ready |= self.out_edge_mask[bit.bit_length() - 1]
+        ready &= self.all_edges_mask ^ marked
+        while ready:
+            ebit = ready & -ready
+            ready ^= ebit
+            eid = ebit.bit_length() - 1
+            vbit = self.edge_target_bit[eid]
+            new_marked = marked | ebit
+            cost = self.edge_cost[eid]
+            if red & vbit:  # light or dark: v turns dark
+                yield (red, blue & ~vbit, new_marked), cost, self.compute_move[eid]
+            elif blue & vbit:
+                continue  # v's partial value must first be loaded
+            elif not at_capacity:
+                yield (red | vbit, blue, new_marked), cost, self.compute_move[eid]
+            else:
+                ubit = self.edge_source_bit[eid]
+                compute = self.compute_row[eid]
+                for dbit, delete in deletable:
+                    if dbit != ubit:
+                        yield ((red & ~dbit) | vbit, blue, new_marked), cost, (delete, compute)
 
 
 def _astar(search, max_states: int):
@@ -553,65 +505,70 @@ def _astar(search, max_states: int):
     equal-or-lower g is skipped without expansion (and without counting
     against the state budget).
 
+    ``parent`` maps each reached state to ``(previous state, rows)``, the
+    ``(op, node, arg)`` rows of the macro move that reached it.
+
     Telemetry (expanded states, frontier peak, dominance prunes) goes to
     the solve's recorder whether the search succeeds, runs out of budget,
     or exhausts the space — the counters are part of the cost model the
     benchmark suite tracks, not just a success statistic.
     """
-    root = search.root_bound
     start = search.initial()
     dist: Dict = {start: 0.0}
     parent: Dict = {start: None}
     tie = count()
-    heap = [(max(search.heuristic(start), root), 0.0, -next(tie), start)]
+    heap = [(search.heuristic(start), 0.0, -next(tie), start)]
     expanded = 0
     pruned = 0
     frontier_peak = 1
     completed = False
     dom_table: Dict = {}
+    heuristic, successors, dominance = search.heuristic, search.successors, search.dominance
+    dist_get = dist.get
+    push, pop = heapq.heappush, heapq.heappop
     try:
         while heap:
-            f, neg_g, _, state = heapq.heappop(heap)
+            f, neg_g, _, state = pop(heap)
             g = -neg_g
-            if g > dist.get(state, float("inf")):
+            if g > dist_get(state, _INF):
                 continue
             if search.is_goal(state):
                 completed = True
                 return g, state, parent
-            dom = search.dominance(state)
+            dom = dominance(state)
             if dom is not None:
                 key, mask = dom
-                entries = dom_table.setdefault(key, [])
-                dominated = False
-                for mask0, g0 in entries:
-                    if g0 <= g + 1e-12 and (mask | mask0) == mask0:
-                        dominated = True
-                        break
-                if dominated:
-                    pruned += 1
-                    continue
-                # the new entry may in turn dominate recorded ones; drop them
-                entries[:] = [
-                    (mask0, g0)
-                    for mask0, g0 in entries
-                    if not ((mask0 | mask) == mask and g <= g0 + 1e-12)
-                ]
-                entries.append((mask, g))
+                entries = dom_table.get(key)
+                if entries is None:
+                    dom_table[key] = [(mask, g)]
+                else:
+                    dominated = False
+                    for mask0, g0 in entries:
+                        if g0 <= g + 1e-12 and (mask | mask0) == mask0:
+                            dominated = True
+                            break
+                    if dominated:
+                        pruned += 1
+                        continue
+                    # the new entry may in turn dominate recorded ones; drop them
+                    entries[:] = [
+                        (mask0, g0)
+                        for mask0, g0 in entries
+                        if not ((mask0 | mask) == mask and g <= g0 + 1e-12)
+                    ]
+                    entries.append((mask, g))
             expanded += 1
             if expanded > max_states:
                 raise SolverError(
                     f"exhaustive search exceeded the state budget of {max_states} expanded states; "
                     "the instance is too large for an exact solution"
                 )
-            for new_state, cost, moves in search.successors(state):
+            for new_state, cost, rows in successors(state):
                 ng = g + cost
-                if ng < dist.get(new_state, float("inf")) - 1e-12:
+                if ng < dist_get(new_state, _INF) - 1e-12:
                     dist[new_state] = ng
-                    parent[new_state] = (state, moves)
-                    nf = ng + search.heuristic(new_state)
-                    if nf < root:
-                        nf = root
-                    heapq.heappush(heap, (nf, -ng, -next(tie), new_state))
+                    parent[new_state] = (state, rows)
+                    push(heap, (ng + heuristic(new_state), -ng, -next(tie), new_state))
             if len(heap) > frontier_peak:
                 frontier_peak = len(heap)
         raise SolverError("the search space was exhausted without reaching a terminal configuration")
@@ -626,15 +583,16 @@ def _astar(search, max_states: int):
             )
 
 
-def _reconstruct(parent: Dict, goal) -> List:
-    moves: List = []
+def _reconstruct(parent: Dict, goal) -> List[MoveRow]:
+    """The rows of the path from the initial state to ``goal``."""
+    rows: List[MoveRow] = []
     cur = goal
     while parent[cur] is not None:
-        prev, mvs = parent[cur]
-        moves.extend(reversed(mvs))
+        prev, macro = parent[cur]
+        rows.extend(reversed(macro))
         cur = prev
-    moves.reverse()
-    return moves
+    rows.reverse()
+    return rows
 
 
 def optimal_rbp_schedule(
@@ -649,9 +607,10 @@ def optimal_rbp_schedule(
     exists for the given ``r`` or if the state budget is exceeded.
     """
     search = _RBPSearch(dag, r, variant, max_states)
-    cost, goal, parent = _astar(search, max_states)
-    moves = _reconstruct(parent, goal)
-    return RBPSchedule(dag, r, moves, variant=variant, description="exhaustive optimum")
+    _, goal, parent = _astar(search, max_states)
+    return RBPSchedule.from_rows(
+        dag, r, _reconstruct(parent, goal), variant=variant, description="exhaustive optimum"
+    )
 
 
 def optimal_rbp_cost(
@@ -677,9 +636,10 @@ def optimal_prbp_schedule(
     strategies on larger instances.
     """
     search = _PRBPSearch(dag, r, variant, max_states)
-    cost, goal, parent = _astar(search, max_states)
-    moves = _reconstruct(parent, goal)
-    return PRBPSchedule(dag, r, moves, variant=variant, description="exhaustive optimum")
+    _, goal, parent = _astar(search, max_states)
+    return PRBPSchedule.from_rows(
+        dag, r, _reconstruct(parent, goal), variant=variant, description="exhaustive optimum"
+    )
 
 
 def optimal_prbp_cost(

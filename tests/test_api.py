@@ -451,6 +451,12 @@ class TestSolveBoundary:
         solve(PebblingProblem(dag, r=r, game=game), solver=solver)
         assert moves_made == []
 
+    @pytest.mark.parametrize("game", ["rbp", "prbp"])
+    def test_exhaustive_solve_builds_no_move(self, moves_made, game):
+        result = solve(PebblingProblem(figure1_gadget(), r=4, game=game), solver="exhaustive")
+        assert result.optimal
+        assert moves_made == []
+
     @pytest.mark.parametrize("game, r", [("rbp", 4), ("prbp", 2)])
     def test_refined_heuristic_solve_builds_no_move(self, moves_made, game, r):
         dag = random_layered_dag((8,) * 5, 0.3, max_in_degree=3, seed=0)

@@ -185,12 +185,13 @@ class TestRunner:
         assert record.wall_time_s is not None and record.wall_time_s > 0
         assert record.solver_used == "exhaustive"
         assert record.states_expanded is not None and record.states_expanded > 0
+        assert record.states_per_s == pytest.approx(record.states_expanded / record.wall_time_s)
         assert record.n == 10 and record.r == 4
 
     def test_run_scenario_structured_solver_has_no_search_states(self):
         record = run_scenario("tree-prbp-critical", tier="quick")
         assert record.ok and record.solver_used == "tree"
-        assert record.states_expanded is None
+        assert record.states_expanded is None and record.states_per_s is None
 
     def test_run_scenario_accepts_scenario_object_and_repeats(self):
         record = run_scenario(get_scenario("zipper-prbp"), tier="quick", repeats=3)
@@ -411,7 +412,7 @@ class TestReport:
 
     def test_load_rejects_wrong_version(self, tmp_path):
         # only the current schema loads: older baselines are re-recorded
-        for version in (1, 2, 99):
+        for version in (1, 2, 3, 99):
             path = tmp_path / f"v{version}.json"
             path.write_text(
                 json.dumps({"schema": SCHEMA_NAME, "schema_version": version, "scenarios": []})
@@ -470,12 +471,13 @@ def _doc(records):
     }
 
 
-def _rec(name, wall=0.1, cost=10, error=None, expected_ok=True, tier="quick"):
+def _rec(name, wall=0.1, cost=10, error=None, expected_ok=True, tier="quick", states=None):
     return {
         "scenario": name,
         "tier": tier,
         "wall_time_s": wall,
         "io_cost": cost,
+        "states_expanded": states,
         "error": error,
         "expected_ok": expected_ok,
     }
@@ -510,6 +512,20 @@ class TestComparator:
     def test_cost_decrease_is_an_improvement(self):
         current = _doc([_rec("a", cost=9)])
         baseline = _doc([_rec("a", cost=10)])
+        result = compare_reports(current, baseline)
+        assert result.ok and result.improvements
+
+    def test_any_rise_in_expanded_states_fails(self):
+        current = _doc([_rec("a", states=1001), _rec("b", states=None)])
+        baseline = _doc([_rec("a", states=1000), _rec("b", states=None)])
+        result = compare_reports(current, baseline)
+        assert not result.ok
+        assert [r.kind for r in result.regressions] == ["states-expanded"]
+        assert (result.regressions[0].current, result.regressions[0].baseline) == (1001, 1000)
+
+    def test_fewer_expanded_states_is_an_improvement(self):
+        current = _doc([_rec("a", states=900)])
+        baseline = _doc([_rec("a", states=1000)])
         result = compare_reports(current, baseline)
         assert result.ok and result.improvements
 

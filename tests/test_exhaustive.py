@@ -1,10 +1,18 @@
 """Tests for the exact solvers, reproducing the paper's small-instance claims."""
 
+from collections import deque
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from exhaustive_oracle import _astar as oracle_astar
+from exhaustive_oracle import _PRBPSearch as OraclePRBPSearch
+from exhaustive_oracle import _RBPSearch as OracleRBPSearch
+from exhaustive_oracle import _reconstruct as oracle_reconstruct
 from repro.core.dag import ComputationalDAG
 from repro.core.exceptions import SolverError
+from repro.core.moves import encode_moves
+from repro.core.pebbles import PRBPState
 from repro.core.variants import ONE_SHOT, GameVariant, NO_DELETE, RECOMPUTE, SLIDING
 from repro.dags import (
     binary_tree_instance,
@@ -21,6 +29,7 @@ from repro.solvers.exhaustive import (
     _astar,
     _PRBPSearch,
     _RBPSearch,
+    _reconstruct,
     optimal_prbp_cost,
     optimal_prbp_schedule,
     optimal_rbp_cost,
@@ -174,11 +183,14 @@ class TestBitHelpers:
 
 VARIANTS = [ONE_SHOT, RECOMPUTE, SLIDING, NO_DELETE]
 
-#: Each search with every variant it accepts.
-SEARCHES = {
-    "rbp": (_RBPSearch, VARIANTS),
-    "prbp": (_PRBPSearch, [ONE_SHOT, NO_DELETE]),
+#: Each game's variants the searches accept.
+GAME_VARIANTS = {
+    "rbp": VARIANTS + [GameVariant(compute_cost=0.125)],
+    "prbp": [ONE_SHOT, NO_DELETE, GameVariant(compute_cost=0.125, split_compute_cost=True)],
 }
+
+#: Each game's library search and its oracle (``tests/exhaustive_oracle.py``).
+SEARCHES = {"rbp": (_RBPSearch, OracleRBPSearch), "prbp": (_PRBPSearch, OraclePRBPSearch)}
 
 
 def _min_r(dag, game, variant):
@@ -203,11 +215,11 @@ def tiny_dags(draw):
     return random_layered_dag(layers, prob, max_in_degree=3, seed=seed)
 
 
-def _search_outcome(search):
-    """The optimum (or the failure) of one A* run, and its counters."""
+def _oracle_outcome(search):
+    """The optimum (or the failure) of one oracle A* run, and its counters."""
     with recording() as recorder:
         try:
-            outcome = _astar(search, search.max_states)[0]
+            outcome = oracle_astar(search, search.max_states)[0]
         except SolverError as exc:
             outcome = str(exc)
     telemetry = recorder.search
@@ -238,9 +250,12 @@ class TestRootFloor:
 
 class TestTheFloorNeverBinds:
     """``g + h`` never falls below the trivial cost: every source not yet
-    loaded and every sink not yet saved is counted by the heuristic.  So the
-    search runs the same with its floor dropped to 0; a heuristic that stops
-    counting either term lets the floor raise f-values and fails here."""
+    loaded and every sink not yet saved is counted by the heuristic.  The
+    oracle's A* floors each f-value at :func:`root_lower_bound`; it runs the
+    same with that floor dropped to 0, so the floor never binds, and the
+    library's A*, which applies none, matches the oracle
+    (:class:`TestOracleDifferential`).  A heuristic that stops counting
+    either term lets the floor raise f-values and fails here."""
 
     @settings(deadline=None)
     @given(
@@ -254,10 +269,135 @@ class TestTheFloorNeverBinds:
     @example(dag=binary_tree_instance(3).dag, game="rbp", variant_draw=0, extra_r=0)
     @example(dag=binary_tree_instance(3).dag, game="prbp", variant_draw=0, extra_r=0)
     def test_a_zero_floor_changes_nothing(self, dag, game, variant_draw, extra_r):
-        search_cls, variants = SEARCHES[game]
+        search_cls = SEARCHES[game][1]
+        variants = GAME_VARIANTS[game]
         variant = variants[variant_draw % len(variants)]
         r = max(1, _min_r(dag, game, variant)) + extra_r
         floored = search_cls(dag, r, variant, 5_000)
         unfloored = search_cls(dag, r, variant, 5_000)
         unfloored.root_bound = 0
-        assert _search_outcome(floored) == _search_outcome(unfloored), (game, r, variant)
+        assert _oracle_outcome(floored) == _oracle_outcome(unfloored), (game, r, variant)
+
+
+#: Layer shapes and edge probabilities of perfbench's exact strata (in-degree
+#: capped at 2): 7 to 12 nodes, where PRBP searches run into the budget.
+STRATA_SHAPES = [
+    ((3, 3, 3, 1), 1.0),
+    ((3, 3, 3, 2), 1.0),
+    ((3, 3, 3, 2, 1), 1.0),
+    ((3, 2, 2), 0.6),
+    ((2, 3, 2, 1), 0.6),
+    ((2, 2, 2, 2, 1), 0.6),
+    ((3, 3, 2), 0.6),
+    ((3, 3, 2, 1), 0.6),
+]
+
+
+@st.composite
+def strata_dags(draw):
+    """A layered DAG shaped like one of perfbench's exact strata."""
+    shape, prob = draw(st.sampled_from(STRATA_SHAPES))
+    seed = draw(st.integers(min_value=0, max_value=50_000))
+    return random_layered_dag(shape, prob, max_in_degree=2, seed=seed)
+
+
+def _rows_and_counters(search_cls, astar, rows_of, dag, r, variant):
+    """The rows one search returns (or its exception class and message),
+    and the counters of its A* run."""
+    with recording() as recorder:
+        try:
+            search = search_cls(dag, r, variant, 5_000)
+            _, goal, parent = astar(search, search.max_states)
+            outcome = rows_of(parent, goal)
+        except SolverError as exc:
+            outcome = (type(exc), str(exc))
+    telemetry = recorder.search
+    if telemetry is None:  # the search refused the instance before A* ran
+        return outcome, None
+    counters = (telemetry.expanded, telemetry.frontier_peak, telemetry.dominated_pruned)
+    return outcome, counters + (telemetry.completed,)
+
+
+class TestOracleDifferential:
+    """The mask-state searches with row moves run the same A* as the oracle:
+    identical rows (or the same exception class and message) and identical
+    expanded, frontier-peak, dominance-prune and completion counters, for
+    every variant each search accepts and ``r`` from the minimum up by 3."""
+
+    @settings(deadline=None)
+    @given(
+        dag=st.one_of(tiny_dags(), strata_dags()),
+        game=st.sampled_from(sorted(SEARCHES)),
+        variant_draw=st.integers(min_value=0, max_value=4),
+        extra_r=st.integers(min_value=0, max_value=3),
+    )
+    @example(dag=binary_tree_instance(3).dag, game="prbp", variant_draw=0, extra_r=0)
+    @example(dag=figure1_instance().dag, game="rbp", variant_draw=2, extra_r=0)
+    def test_rows_and_counters_match_the_oracle(self, dag, game, variant_draw, extra_r):
+        variants = GAME_VARIANTS[game]
+        variant = variants[variant_draw % len(variants)]
+        r = max(1, _min_r(dag, game, variant)) + extra_r
+        library_cls, oracle_cls = SEARCHES[game]
+        ours = _rows_and_counters(library_cls, _astar, _reconstruct, dag, r, variant)
+        oracle = _rows_and_counters(
+            oracle_cls,
+            oracle_astar,
+            lambda parent, goal: encode_moves(game, oracle_reconstruct(parent, goal)),
+            dag,
+            r,
+            variant,
+        )
+        assert ours == oracle, (game, r, variant, dag.edges)
+
+    @settings(deadline=None)
+    @given(
+        dag=st.one_of(tiny_dags(), strata_dags()),
+        game=st.sampled_from(sorted(SEARCHES)),
+        variant_draw=st.integers(min_value=0, max_value=4),
+        extra_r=st.integers(min_value=0, max_value=3),
+    )
+    def test_every_step_matches_the_oracle(self, dag, game, variant_draw, extra_r):
+        # Breadth-first over the oracle's first 200 states: the same
+        # heuristic, goal test and dominance pair, and the same successors
+        # with the same costs and rows in the same order, state by state.
+        # Successor order decides heap ties, but on many instances a changed
+        # order still ends in the same rows and counters.
+        variants = GAME_VARIANTS[game]
+        variant = variants[variant_draw % len(variants)]
+        r = max(1, _min_r(dag, game, variant)) + extra_r
+        library_cls, oracle_cls = SEARCHES[game]
+        ours, oracle = library_cls(dag, r, variant, 0), oracle_cls(dag, r, variant, 0)
+        to_masks = _prbp_masks if game == "prbp" else (lambda n, state: state)
+        frontier = deque([oracle.initial()])
+        seen = set(frontier)
+        assert ours.initial() == to_masks(dag.n, oracle.initial())
+        for _ in range(200):
+            if not frontier:
+                break
+            state = frontier.popleft()
+            mine = to_masks(dag.n, state)
+            assert ours.heuristic(mine) == oracle.heuristic(state)
+            assert ours.is_goal(mine) == oracle.is_goal(state)
+            dom = oracle.dominance(state)
+            assert ours.dominance(mine) == (None if dom is None else (to_masks(dag.n, dom[0]), dom[1]))
+            successors = list(oracle.successors(state))
+            assert [(s, c, list(rows)) for s, c, rows in ours.successors(mine)] == [
+                (to_masks(dag.n, s), c, encode_moves(game, moves)) for s, c, moves in successors
+            ], (game, r, variant, dag.edges, state)
+            for new_state, _, _ in successors:
+                if new_state not in seen:
+                    seen.add(new_state)
+                    frontier.append(new_state)
+
+
+def _prbp_masks(n, state):
+    """The oracle's ``(codes, marked)`` PRBP state as ``(red, blue, marked)``."""
+    codes, marked = state
+    red = blue = 0
+    for v in range(n):
+        st_v = PRBPState((codes >> (2 * v)) & 3)
+        if st_v.has_red:
+            red |= 1 << v
+        if st_v in (PRBPState.BLUE, PRBPState.BLUE_LIGHT_RED):
+            blue |= 1 << v
+    return red, blue, marked

@@ -545,6 +545,7 @@ def test_ir_digest_and_packed_payload_are_pinned(game, digest, count, payload):
     doc = sir.pack_arrays(schedule)
     assert doc["count"] == count
     assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == payload
+    assert sir.packed_with_digest(schedule) == (doc, digest)  # the cache's disk store
 
 
 def test_round_trip_behind_an_earlier_candidate_is_elided():
