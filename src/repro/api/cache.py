@@ -44,7 +44,7 @@ from typing import Mapping, Optional, Union
 
 from ..core.canonical import dag_digest
 from ..core.schedule_ir import (
-    ir_digest,
+    _digest,
     ir_from_arrays,
     kernel_stats,
     packed_with_digest,
@@ -488,7 +488,7 @@ class ResultCache:
             arg,
             description=str(doc.get("description", "")),
         )
-        if ir_digest(schedule) != doc.get("ir_digest"):
+        if _digest(schedule, (op, node, arg)) != doc.get("ir_digest"):
             raise ValueError("schedule columns do not match the stored digest")
         stats = doc["stats"]
         if not isinstance(stats, ScheduleStats):

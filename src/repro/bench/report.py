@@ -56,8 +56,16 @@ def environment_metadata() -> Dict[str, object]:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "numpy": numpy_version,
-        "argv": list(sys.argv),
+        "argv": _portable_argv(sys.argv),
     }
+
+
+def _portable_argv(argv: Sequence[str]) -> List[str]:
+    """``argv`` with ``argv[0]`` relative to the working directory if under it."""
+    argv, cwd = list(argv), os.getcwd()
+    if argv and os.path.isabs(argv[0]) and os.path.commonpath([cwd, argv[0]]) == cwd:
+        argv[0] = os.path.relpath(argv[0], cwd)
+    return argv
 
 
 def build_report(

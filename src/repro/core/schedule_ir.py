@@ -41,7 +41,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
@@ -412,7 +412,7 @@ def _rbp_scalar(
     data: _DagData,
     r: int,
     variant: GameVariant,
-    rows: Sequence[MoveRow],
+    rows: Iterable[MoveRow],
     start: Optional[ReplayState] = None,
 ) -> _Run:
     at = start if start is not None else _fresh_state(data, "rbp")
@@ -504,7 +504,7 @@ def _prbp_scalar(
     data: _DagData,
     r: int,
     variant: GameVariant,
-    rows: Sequence[MoveRow],
+    rows: Iterable[MoveRow],
     start: Optional[ReplayState] = None,
 ) -> _Run:
     at = start if start is not None else _fresh_state(data, "prbp")
@@ -690,7 +690,7 @@ def replay_io_cost(
     r: int,
     variant: GameVariant,
     game: str,
-    rows: Sequence[MoveRow],
+    rows: Iterable[MoveRow],
     start: Optional[ReplayState] = None,
 ) -> Optional[int]:
     """I/O cost of a candidate row list, or ``None`` unless it replays legally

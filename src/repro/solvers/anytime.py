@@ -14,7 +14,7 @@ has already replayed the unchanged prefix).
 
 Refinement operators
 --------------------
-* **I/O elision** — peephole removal of provably wasteful I/O: loads of
+* **I/O elision** — one forward sweep removing provably wasteful I/O: loads of
   values already in fast memory, saves of values already in slow memory,
   saves of non-sink values that are never loaded again, and
   ``delete …​ load`` round trips whose value could have stayed red (the
@@ -45,8 +45,11 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from itertools import chain, compress, count, islice
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.dag import ComputationalDAG
 from ..core.exceptions import PebblingError, SolverError
@@ -86,9 +89,9 @@ Row = Tuple[int, int, int]
 #: stays in the low-millisecond range on quick-tier workloads.
 DEFAULT_REFINE_STEPS = 96
 
-#: Elision sweeps per phase — each sweep re-derives candidates after a
-#: successful removal, so the cap only guards against pathological inputs.
-_MAX_ELISION_SWEEPS = 25
+#: Accepted removals per elision pass; the cap only guards against
+#: pathological inputs.
+_MAX_ELISION_ACCEPTS = 25
 
 #: Half-width of the sliding reorder window (moves are displaced by at most
 #: this many positions in either direction).
@@ -192,33 +195,33 @@ def _io_count_rows(rows: Sequence[Row]) -> int:
 # --------------------------------------------------------------------------- #
 
 
-def _last_load_index(rows: Sequence[Row], n: int) -> List[int]:
+def _last_load_index(numbered: Sequence[Tuple[int, Row]], n: int) -> List[int]:
     """Per node, the move index of its last load (-1 when it is never loaded)."""
     last = [-1] * n
-    for i, (op, x, _) in enumerate(rows):
+    for i, (op, x, _) in numbered:
         if op == OP_LOAD:
             last[x] = i
     return last
 
 
 def _rbp_elision_candidates(
-    dag: ComputationalDAG, r: int, rows: Sequence[Row], variant: GameVariant
+    dag: ComputationalDAG, numbered: Sequence[Tuple[int, Row]], variant: GameVariant
 ) -> List[Tuple[int, ...]]:
     """Index tuples whose removal is *plausibly* free I/O (replay decides).
 
-    ``rows`` is always the current best schedule — legal and complete — so
-    the pebble state is tracked with unchecked inline transitions instead of
-    a full engine walk (every query reads the state *before* its own move,
-    exactly as the engine-walk version did).
+    ``numbered`` holds ``(index, row)`` pairs of a legal and complete
+    schedule, so the pebble state is tracked with unchecked inline
+    transitions (every query reads the state *before* its own move).  The
+    state is per node: the rows naming a node re-derive its candidates.
     """
     candidates: List[Tuple[int, ...]] = []
-    last_load = _last_load_index(rows, dag.n)
+    last_load = _last_load_index(numbered, dag.n)
     red: Set[int] = set()
     blue: Set[int] = set(dag.sources)
     is_sink = dag.is_sink
     allow_delete = variant.allow_delete
     pending_delete: Dict[int, int] = {}
-    for i, (op, v, s) in enumerate(rows):
+    for i, (op, v, s) in numbered:
         if op == OP_LOAD:
             if v in red:
                 candidates.append((i,))
@@ -253,16 +256,16 @@ _P_NONE, _P_BLUE, _P_LIGHT, _P_DARK = 0, 1, 2, 3
 
 
 def _prbp_elision_candidates(
-    dag: ComputationalDAG, r: int, rows: Sequence[Row], variant: GameVariant
+    dag: ComputationalDAG, numbered: Sequence[Tuple[int, Row]], variant: GameVariant
 ) -> List[Tuple[int, ...]]:
     candidates: List[Tuple[int, ...]] = []
-    last_load = _last_load_index(rows, dag.n)
+    last_load = _last_load_index(numbered, dag.n)
     state = [_P_NONE] * dag.n
     for v in dag.sources:
         state[v] = _P_BLUE
     is_sink = dag.is_sink
     pending_delete: Dict[int, int] = {}
-    for i, (op, x, y) in enumerate(rows):
+    for i, (op, x, y) in numbered:
         if op == OP_LOAD:
             if state[x] == _P_LIGHT:
                 candidates.append((i,))
@@ -292,6 +295,30 @@ def _prbp_elision_candidates(
     return candidates
 
 
+def _rank(numbered: Sequence[Tuple[int, Row]], ranks: List[int]) -> None:
+    """Set each row's occurrence rank: how many equal rows precede it."""
+    counts: Dict[Row, int] = {}
+    for i, row in numbered:
+        ranks[i] = counts.get(row, 0)
+        counts[row] = ranks[i] + 1
+
+
+def _rest(items: List[Any], cand: Tuple[int, ...]) -> Iterator[Any]:
+    """The items after ``cand[0]`` without the candidate's, uncopied."""
+    return chain(*(islice(items, i + 1, j) for i, j in zip(cand, cand[1:] + (len(items),))))
+
+
+def _marks(pending: List[Tuple[int, ...]], at: int) -> List[int]:
+    """Snapshot points, latest first: starts at or past ``at`` listed after a later one."""
+    marks, reach = [], at
+    for cand in pending:
+        if cand[0] >= reach:
+            reach = cand[0]
+        elif cand[0] >= at:
+            marks.append(cand[0])
+    return sorted(marks, reverse=True)
+
+
 def _elision_pass(
     dag: ComputationalDAG,
     r: int,
@@ -302,76 +329,79 @@ def _elision_pass(
     budget: _Budget,
     on_accept: Callable[[List[Row], int], None],
 ) -> Tuple[List[Row], int]:
-    """Repeatedly remove free I/O until a fixed point (or budget exhaustion).
+    """Remove free I/O in one forward sweep, up to a cap or budget exhaustion.
 
     ``rows`` must be legal and complete (``cost`` is its I/O cost).  A
-    candidate is identified by its rows plus their occurrence ranks (how
-    many equal rows precede each).  Candidate indices shift after every
-    successful removal; the signature survives the shift, so a candidate
-    that failed once (e.g. a round trip whose removal would overflow
-    capacity) is not retried on every sweep — failed retries would
-    otherwise silently drain the step budget.  Rows are a bijective image
-    of Move objects (:func:`repro.core.moves.encode_moves`), so the dedup
-    classes are those of the moves.  Rows change only on an accept, which
-    ends the sweep, so the ranks are computed once per sweep.
-
-    A removal leaves the rows before its first dropped index untouched, so
-    each candidate is scored on its suffix alone, from a copy of a cursor
-    that replays the sweep's rows once, moving forward.  A round trip is
-    listed at its load, after candidates that lie inside it, so its delete
-    can start behind the cursor.  The list is fixed before any scoring, so
-    the cursor snapshots each such start as it passes it and the round trip
-    resumes from that snapshot instead of from row 0.
+    candidate is known by its rows and their :func:`_rank`, which survive
+    index shifts, so one that failed is not retried (and cannot drain the
+    step budget) when a later removal re-derives it.  Each candidate is
+    scored on its suffix, from a copy of a cursor that replays the rows
+    once, moving forward; a round trip is listed at its load, so its delete
+    can lie behind the cursor, which snapshots such starts as it passes.
+    An accept leaves the rows before it, so the cursor stays valid (one
+    that had passed it replays them).  Only the removed rows' node has its
+    candidates re-derived, the others shift; re-derived ones can lie before
+    the accept point, so the walk resumes from the head of the list.
     """
     find = _rbp_elision_candidates if game == "rbp" else _prbp_elision_candidates
+    numbered = list(enumerate(rows))
+    pending, ranks = find(dag, numbered, variant), [0] * len(rows)
+    _rank(numbered, ranks)
+    nodes, args = (list(map(itemgetter(k), rows)) for k in (1, 2))
     attempted: Set[Tuple[Tuple[Row, int], ...]] = set()
-    for _ in range(_MAX_ELISION_SWEEPS):
-        counts: Dict[Row, int] = {}
-        ranks: List[int] = []
-        for row in rows:
-            rank = counts.get(row, 0)
-            ranks.append(rank)
-            counts[row] = rank + 1
-        # sigs are unique within a sweep, so the untried list is fixed up front
-        untried = []
-        for cand in find(dag, r, rows, variant):
-            sig = tuple((rows[i], ranks[i]) for i in cand)
-            if sig not in attempted:
-                untried.append((cand, sig))
-        marks, reach = [], -1  # starts listed behind an earlier candidate's
-        for cand, _ in untried:
-            if cand[0] < reach:
-                marks.append(cand[0])
-            else:
-                reach = cand[0]
-        marks.sort()
-        snapshots: Dict[int, ReplayState] = {}
-        cursor, at, passed = start_state(dag, game), 0, 0  # marks[:passed] snapshotted
-        improved = False
-        for cand, sig in untried:
-            if not budget.spend():
-                return rows, cost
-            attempted.add(sig)
-            first = cand[0]  # candidate indices are ascending
-            if first < at:  # a mark: its snapshot was taken when the cursor passed it
-                cursor, at = snapshots.pop(first), first
-            while passed < len(marks) and marks[passed] < first:
-                mark = marks[passed]
-                advance(dag, r, variant, game, rows[at:mark], cursor)
-                snapshots[mark], at, passed = cursor.copy(), mark, passed + 1
-            advance(dag, r, variant, game, rows[at:first], cursor)
-            at = first
-            suffix: List[Row] = []
-            for i, j in zip(cand, cand[1:] + (len(rows),)):
-                suffix += rows[i + 1 : j]
-            trial_cost = replay_io_cost(dag, r, variant, game, suffix, cursor.copy())
-            if trial_cost is not None and trial_cost < cost:
-                rows, cost = rows[:first] + suffix, trial_cost
-                on_accept(rows, cost)
-                improved = True
-                break  # indices shifted; re-derive candidates
-        if not improved:
+    cursor, at = start_state(dag, game), 0
+    snapshots: Dict[int, ReplayState] = {}
+    marks = _marks(pending, at)
+
+    accepts, pos = 0, 0
+    while pos < len(pending):
+        cand = pending[pos]
+        pos += 1
+        if not budget.spend():
             return rows, cost
+        attempted.add(tuple((rows[i], ranks[i]) for i in cand))
+        first = cand[0]  # candidate indices are ascending
+        if first >= at:
+            while marks and marks[-1] < first:
+                mark = marks.pop()
+                advance(dag, r, variant, game, rows[at:mark], cursor)
+                snapshots[mark], at = cursor.copy(), mark
+            advance(dag, r, variant, game, rows[at:first], cursor)
+            state, at = cursor.copy(), first
+        else:  # behind the cursor: the snapshot there, or a replay of the prefix
+            state = snapshots.pop(first, None)
+            if state is None:
+                state = start_state(dag, game)
+                advance(dag, r, variant, game, rows[:first], state)
+        trial_cost = replay_io_cost(dag, r, variant, game, _rest(rows, cand), state)
+        if trial_cost is None or trial_cost >= cost:
+            continue
+        v, k = rows[first][1], len(cand)  # every row of a candidate names one node
+        # pending candidates end after this one; a round trip's delete may not
+        kept = [
+            (c[0] - bisect_left(cand, c[0]), c[1] - k) if len(c) > 1 else (c[0] - k,)
+            for c in pending[pos:]
+            if nodes[c[0]] != v
+        ]
+        if first < at:
+            cursor, at = start_state(dag, game), first
+            advance(dag, r, variant, game, rows[:first], cursor)
+        snapshots = {i: s for i, s in snapshots.items() if i < first}
+        rows, ranks, nodes, args = (
+            items[:first] + list(_rest(items, cand)) for items in (rows, ranks, nodes, args)
+        )
+        cost = trial_cost
+        on_accept(rows, cost)
+        accepts += 1
+        if accepts == _MAX_ELISION_ACCEPTS:
+            break
+        named = chain(*(compress(count(), map(v.__eq__, c)) for c in (nodes, args)))
+        mine = [(i, rows[i]) for i in sorted(named)]
+        _rank(mine, ranks)
+        fresh = [c for c in find(dag, mine, variant) if nodes[c[0]] == v]
+        fresh = [c for c in fresh if tuple((rows[i], ranks[i]) for i in c) not in attempted]
+        pending, pos = sorted(kept + fresh, key=itemgetter(-1)), 0
+        marks = _marks(pending, at)
     return rows, cost
 
 

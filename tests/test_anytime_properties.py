@@ -9,6 +9,8 @@ Three contracts, checked on random small DAGs:
 * **cost monotonicity** — refinement never returns a schedule costlier than
   the one it started from (the engine's central promise — the auto
   portfolio's improvement pass relies on it);
+* **elision oracle** — the one-sweep elision pass makes exactly the trials
+  and removals of the restarting pass it replaced (``tests/elision_oracle.py``);
 * **quality** — on exhaustive-solvable instances (n ≤ 10), refinement
   started from the greedy baseline lands within a pinned factor of the true
   optimum.  The factor below was measured over a ~600-instance sweep of
@@ -21,16 +23,29 @@ Three contracts, checked on random small DAGs:
   engine delivers.
 """
 
+import random
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from elision_oracle import MAX_SWEEPS, oracle_elision_pass  # noqa: E402
+
 from repro.api import PebblingProblem, solve  # noqa: E402
+from repro.core.dag import ComputationalDAG  # noqa: E402
 from repro.core.exceptions import SolverError  # noqa: E402
+from repro.core.schedule_ir import (  # noqa: E402
+    OP_COMPUTE,
+    OP_DELETE,
+    OP_LOAD,
+    OP_SAVE,
+    replay_io_cost,
+)
 from repro.core.variants import NO_DELETE, ONE_SHOT, RECOMPUTE, SLIDING  # noqa: E402
-from repro.dags.random_dags import random_dag  # noqa: E402
-from repro.solvers.anytime import refine_schedule  # noqa: E402
+from repro.dags.random_dags import random_dag, random_layered_dag  # noqa: E402
+from repro.solvers.anytime import _Budget, _elision_pass, refine_schedule  # noqa: E402
+from repro.solvers.greedy import greedy_rbp_rows, topological_prbp_rows  # noqa: E402
 
 SETTINGS = settings(max_examples=15, deadline=None)
 
@@ -195,3 +210,115 @@ class TestRefinementContracts:
         if trajectory.improvement > 0:
             assert trajectory.accepted > 0
             assert trajectory.time_to_best_s <= trajectory.wall_time_s
+
+
+def _inject(dag, r, variant, game, rows, seed, edits):
+    """``rows`` plus up to ``edits`` redundant I/O rows (extra saves, extra
+    loads, ``delete ... load`` round trips); an edit that would make the rows
+    illegal or incomplete is skipped."""
+    rng = random.Random(seed)
+    for _ in range(edits):
+        p = rng.randint(1, len(rows))
+        v = rows[p - 1][1] if rng.random() < 0.7 else rng.randrange(dag.n)
+        kind = rng.randrange(3)
+        if kind == 0:
+            trial = rows[:p] + [(OP_SAVE, v, -1)] + rows[p:]
+        elif kind == 1:
+            trial = rows[:p] + [(OP_LOAD, v, -1)] + rows[p:]
+        else:
+            q = rng.randint(p, min(len(rows), p + 15))
+            trial = rows[:p] + [(OP_DELETE, v, -1)] + rows[p:q] + [(OP_LOAD, v, -1)] + rows[q:]
+        if replay_io_cost(dag, r, variant, game, trial) is not None:
+            rows = trial
+    return rows
+
+
+@st.composite
+def elision_inputs(draw):
+    """A legal, complete greedy schedule with injected redundant I/O."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=8), min_size=2, max_size=12))
+    while sum(sizes) > 60:
+        sizes.pop()
+    dag = random_layered_dag(
+        sizes,
+        edge_probability=draw(st.floats(min_value=0.15, max_value=0.5)),
+        seed=draw(st.integers(min_value=0, max_value=50_000)),
+    )
+    game = draw(st.sampled_from(["rbp", "prbp"]))
+    variant = draw(st.sampled_from([v for _, v, games in VARIANT_BUNDLES if game in games]))
+    if not variant.allow_delete:
+        r = dag.n  # the greedy builders evict by deleting
+    else:
+        r = (dag.max_in_degree + 1 if game == "rbp" else 2) + draw(st.integers(0, 3))
+    build = greedy_rbp_rows if game == "rbp" else topological_prbp_rows
+    rows = build(dag, r, list(dag.topological_order), variant)
+    seed, edits = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 40))
+    return dag, r, variant, game, _inject(dag, r, variant, game, rows, seed, edits)
+
+
+def _run_both(dag, r, variant, game, rows, steps=None):
+    """``(rows, cost, accepts, budget steps)`` of the pass and of its oracle."""
+    cost = replay_io_cost(dag, r, variant, game, rows)
+    assert cost is not None
+    outcomes = []
+    for elide in (_elision_pass, oracle_elision_pass):
+        budget, accepts = _Budget(steps, None), []
+        out_rows, out_cost = elide(
+            dag, r, list(rows), cost, variant, game, budget,
+            lambda m, c: accepts.append((list(m), c)),
+        )
+        outcomes.append((out_rows, out_cost, accepts, budget.steps))
+    return outcomes
+
+
+class TestElisionOracle:
+    """The one-sweep pass against the restarting pass it replaced."""
+
+    @settings(deadline=None)
+    @given(
+        case=elision_inputs(),
+        steps=st.one_of(st.none(), st.integers(min_value=0, max_value=60)),
+    )
+    def test_same_trials_and_removals_as_the_oracle(self, case, steps):
+        dag, r, variant, game, rows = case
+        mine, oracle = _run_both(dag, r, variant, game, rows, steps)
+        assert mine == oracle
+
+    def test_a_dropped_last_load_makes_an_earlier_save_removable(self):
+        # s -> v -> t: the load of v is redundant (v is still red) and is
+        # v's last load; removing it makes the earlier save of v a
+        # candidate *before* the accept point, which is taken next
+        dag = ComputationalDAG(3, [(0, 1), (1, 2)])
+        rows = [
+            (OP_LOAD, 0, -1),
+            (OP_COMPUTE, 1, -1),
+            (OP_SAVE, 1, -1),
+            (OP_LOAD, 1, -1),
+            (OP_COMPUTE, 2, -1),
+            (OP_SAVE, 2, -1),
+        ]
+        mine, oracle = _run_both(dag, 3, ONE_SHOT, "rbp", rows)
+        assert mine == oracle
+        out_rows, cost, accepts, steps = mine
+        assert [len(m) for m, _ in accepts] == [5, 4] and steps == 2
+        assert out_rows == [rows[0], rows[1], rows[4], rows[5]] and cost == 2
+
+    def test_the_pass_stops_after_the_capped_number_of_accepts(self):
+        dag = random_layered_dag([8, 10, 10, 10, 8], edge_probability=0.3, seed=5)
+        r = dag.max_in_degree + 1
+        rows = greedy_rbp_rows(dag, r, list(dag.topological_order), ONE_SHOT)
+        # a second save of a saved value (still red: deletes are allowed) is free I/O
+        padded = []
+        for row in rows:
+            padded.append(row)
+            if row[0] == OP_SAVE:
+                padded.append(row)
+        assert padded.count((OP_SAVE, dag.sinks[0], -1)) == 2
+        assert len(padded) - len(rows) > MAX_SWEEPS
+        mine, oracle = _run_both(dag, r, ONE_SHOT, "rbp", padded)
+        assert mine == oracle
+        out_rows, _, accepts, _ = mine
+        assert len(accepts) == MAX_SWEEPS
+        # the cap, not a fixed point, ended the pass: another pass removes more
+        _, _, more, _ = _run_both(dag, r, ONE_SHOT, "rbp", out_rows)[0]
+        assert more

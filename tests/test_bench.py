@@ -8,6 +8,8 @@ comparator's pass/fail behaviour, the CLI exit codes, and the
 """
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.bench import (
     ScenarioTier,
     build_report,
     compare_reports,
+    environment_metadata,
     get_scenario,
     iter_scenarios,
     load_report,
@@ -440,6 +443,18 @@ class TestReport:
         path.write_text(json.dumps({"schema": SCHEMA_NAME, "schema_version": SCHEMA_VERSION}))
         with pytest.raises(ValueError, match="scenarios"):
             load_report(path)
+
+    def test_env_argv0_is_relative_to_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        script = str(tmp_path / "bench" / "__main__.py")
+        monkeypatch.setattr(sys, "argv", [script, "--tier", str(tmp_path)])
+        argv = environment_metadata()["argv"]
+        # only argv[0] is rewritten: the other arguments are recorded verbatim
+        assert argv == [os.path.join("bench", "__main__.py"), "--tier", str(tmp_path)]
+        outside = str(tmp_path.parent / "elsewhere" / "run.py")
+        for given in (outside, "run.py"):
+            monkeypatch.setattr(sys, "argv", [given])
+            assert environment_metadata()["argv"] == [given]
 
     def test_records_carry_refinement_trajectory_fields(self):
         # a scenario whose auto dispatch lands on greedy + refinement

@@ -281,6 +281,64 @@ class TestCacheIntegrity:
         assert cache.stats.corrupt == 1
         assert got.cost == want.cost and got.schedule.moves == want.schedule.moves
 
+    def test_disk_hit_hashes_the_stored_columns_without_rebuilding_them(
+        self, tmp_path, monkeypatch
+    ):
+        # the digest of the unpacked columns is the schedule's ir_digest, so a
+        # hit needs no second column build; a tampered column still fails it
+        import hashlib
+
+        from repro.core import schedule_ir
+        from repro.core.schedule_ir import (
+            _digest,
+            ir_digest,
+            ir_from_arrays,
+            pack_arrays,
+            unpack_arrays,
+        )
+
+        problem, digest, path, want = self._prime(tmp_path)
+        _, payload = path.read_bytes().split(b"\n", 1)
+        doc = pickle.loads(payload)
+        columns = unpack_arrays(doc["arrays"])
+        rebuilt = ir_from_arrays(
+            problem.game, problem.dag, problem.r, problem.variant, *columns,
+            description=str(doc["description"]),
+        )
+        assert _digest(rebuilt, columns) == ir_digest(rebuilt) == ir_digest(want.schedule)
+        assert doc["ir_digest"] == ir_digest(rebuilt)
+
+        def no_rebuild(schedule):
+            raise AssertionError("a disk hit rebuilt the columns")
+
+        monkeypatch.setattr(schedule_ir, "_columns", no_rebuild)
+        cache = ResultCache(directory=tmp_path)
+        assert cache.get(problem, digest).schedule.rows == want.schedule.rows
+        monkeypatch.undo()
+
+        op, node, arg = columns
+        node = node.copy()
+        # a compute of another in-edge of the same head: a different, legal-looking row
+        i, u = next(
+            (i, u)
+            for i, (o, x, y) in enumerate(rebuilt.rows)
+            if o == schedule_ir.OP_COMPUTE
+            for u in problem.dag.predecessors(y)
+            if u != x
+        )
+        node[i] = u
+        doc["arrays"] = pack_arrays(
+            ir_from_arrays(
+                problem.game, problem.dag, problem.r, problem.variant, op, node, arg,
+                description=str(doc["description"]),
+            )
+        )
+        payload = pickle.dumps(doc, protocol=pickle.HIGHEST_PROTOCOL)
+        path.write_bytes(hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload)
+        cache = ResultCache(directory=tmp_path)
+        assert cache.get(problem, digest) is None
+        assert cache.stats.corrupt == 1
+
     def test_memory_only_cache(self):
         problems = _mixed_batch()[:2]
         cache = ResultCache(directory=None)
