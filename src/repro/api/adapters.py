@@ -15,12 +15,14 @@ with every solution method the library ships:
 
 Family adapters get the layout object from
 :func:`repro.api.bounds.authenticated_instance`, the one place a tag is
-checked (:func:`repro.api.bounds.best_lower_bound` uses it too): it rebuilds
-the instance through :data:`repro.dags.FAMILY_INSTANCE_BUILDERS`, memoised
-per ``(family, params)``, and verifies it reproduces the problem's DAG, so a
-hand-built DAG that merely *claims* a family can never be answered with a
-schedule for a different graph.  The adapters return schedules unreplayed:
-:func:`repro.api.solve` replays each one once and raises on an illegal one.
+checked (:func:`repro.api.bounds.best_lower_bound` uses it too): it
+generates the layout and edges through
+:data:`repro.dags.FAMILY_INSTANCE_BUILDERS`, memoised per
+``(family, params)``, verifies the edges are the problem's own and hands the
+layout back on the problem's DAG, so a hand-built DAG that merely *claims* a
+family can never be answered with a schedule for a different graph.  The
+adapters return schedules unreplayed: :func:`repro.api.solve` replays each
+one once and raises on an illegal one.
 """
 
 from __future__ import annotations
@@ -164,11 +166,11 @@ def _anytime(problem: PebblingProblem, **options: object) -> Schedule:
 
 
 def _instance(problem: PebblingProblem, family: str):
-    """Regenerate the layout instance of the problem's ``family`` tag, checked.
+    """The layout instance of the problem's ``family`` tag, checked, on its DAG.
 
     Refuses a problem tagged with another family (or none) or posed in a
     non-one-shot variant; :func:`authenticated_instance` then refuses a tag
-    whose parameters the generator rejects or that regenerates a *different*
+    whose parameters the generator rejects or that generates a *different*
     graph than the problem's DAG, with a :class:`SolverError`.
     """
     fam = problem.family

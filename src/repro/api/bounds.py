@@ -12,13 +12,14 @@ Every PRBP lower bound is also a valid RBP lower bound: by Proposition 4.1
 any RBP schedule converts into a PRBP schedule of identical I/O cost, so
 ``OPT_RBP >= OPT_PRBP``.
 
-A family tag is trusted only once :func:`authenticated_instance` has
-regenerated the problem's DAG from it.  That helper is the one place a tag
-is checked: the closed forms here and the structured adapters
-(:mod:`repro.api.adapters`) both call it.  It memoises each builder's output
-per ``(family, params)`` in a small LRU bounded by total cached nodes, so an
-r-sweep over one large tagged DAG regenerates it once, not twice per solve;
-every call still compares the instance's DAG with the problem's.
+A family tag is trusted only once :func:`authenticated_instance` has checked
+it against the problem's own edges.  That helper is the one place a tag is
+checked: the closed forms here and the structured adapters
+(:mod:`repro.api.adapters`) both call it.  It memoises each family's layout
+per ``(family, params)`` in a small LRU bounded by total pinned edges: an
+entry holds the layout (node ids and parameters, no DAG), its node count and
+the edge tuple of the first DAG it verified.  No second DAG is built on a
+hit or a miss, and every call still compares those edges with the problem's.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from ..bounds.analytic import (
     matmul_prbp_lower_bound,
     matvec_rbp_lower_bound,
 )
+from ..core.dag import Edge
 from ..core.exceptions import SolverError
 from ..dags import FAMILY_INSTANCE_BUILDERS
 from ..dags.trees import optimal_prbp_tree_cost, optimal_rbp_tree_cost
@@ -44,13 +46,16 @@ from .problem import PebblingProblem
 __all__ = ["authenticated_instance", "authenticated_instance_cache_clear", "best_lower_bound"]
 
 
-#: Total DAG nodes the tag memo may hold (a cached node costs about 0.6 kB).
-#: One round of a mixed structured r-sweep (small and deep trees, three
-#: matvecs, one ~2,300-node fft, matmul and attention) touches about 9.5k.
-TAG_MEMO_MAX_NODES = 12_000
+#: Total edges the tag memo may pin (an entry keeps a layout and the edge
+#: tuple of a verified DAG, about 0.1 kB an edge).  One round of a mixed
+#: structured r-sweep (small and deep trees, three matvecs, a 4k-edge fft,
+#: a ~5.6k-edge matmul and a ~5k-edge attention) touches about 18k; the cap
+#: holds four matmul and four attention shapes besides.
+TAG_MEMO_MAX_EDGES = 50_000
 
-_TAG_MEMO: "OrderedDict[Hashable, Any]" = OrderedDict()
-_tag_memo_nodes = 0
+# (family, params) key -> (layout with dag=None, n, edges of a verified DAG)
+_TAG_MEMO: "OrderedDict[Hashable, Tuple[Any, int, Tuple[Edge, ...]]]" = OrderedDict()
+_tag_memo_edges = 0
 # Guards the LRU: thread-mode service solves share it.  Builds run outside it.
 _TAG_MEMO_LOCK = threading.Lock()
 
@@ -69,42 +74,44 @@ def _tag_memo_key(fam) -> Optional[Hashable]:
     return key
 
 
-def _remember(key: Hashable, inst: Any) -> None:
-    global _tag_memo_nodes
-    size = inst.dag.n
-    if size > TAG_MEMO_MAX_NODES:
+def _remember(key: Hashable, entry: Tuple[Any, int, Tuple[Edge, ...]]) -> None:
+    global _tag_memo_edges
+    size = len(entry[2])
+    if size > TAG_MEMO_MAX_EDGES:
         return
     with _TAG_MEMO_LOCK:
         if key in _TAG_MEMO:  # another thread built the same tag meanwhile
             return
-        _TAG_MEMO[key] = inst
-        _tag_memo_nodes += size
-        while _tag_memo_nodes > TAG_MEMO_MAX_NODES:
+        _TAG_MEMO[key] = entry
+        _tag_memo_edges += size
+        while _tag_memo_edges > TAG_MEMO_MAX_EDGES:
             _, old = _TAG_MEMO.popitem(last=False)
-            _tag_memo_nodes -= old.dag.n
+            _tag_memo_edges -= len(old[2])
 
 
 def authenticated_instance_cache_clear() -> None:
     """Empty the tag memo (tests; embedders that want its memory back)."""
-    global _tag_memo_nodes
+    global _tag_memo_edges
     with _TAG_MEMO_LOCK:
         _TAG_MEMO.clear()
-        _tag_memo_nodes = 0
+        _tag_memo_edges = 0
 
 
 def authenticated_instance(problem: PebblingProblem) -> Any:
-    """The layout instance the problem's family tag regenerates, checked.
+    """The layout instance of the problem's family tag, checked, on the problem's DAG.
 
-    The tag's builder in :data:`repro.dags.FAMILY_INSTANCE_BUILDERS` must
-    rebuild exactly the problem's DAG.  A stale tag surviving an
+    The tag's layout builder in :data:`repro.dags.FAMILY_INSTANCE_BUILDERS`
+    must generate exactly the problem's DAG: the same node count and edge
+    set, the test of ``ComputationalDAG.__eq__``.  A stale tag surviving an
     :meth:`induced_subgraph`, or one copied onto a different graph, would
     otherwise let a closed form prove ``optimal`` or a strategy pebble a DAG
-    the problem does not contain.  Successful builds are memoised per
-    ``(family, params)``; the DAG comparison runs on every call, so a warm
-    memo vouches for no tag that a cold one would refuse.
+    the problem does not contain.  Verified layouts are memoised per
+    ``(family, params)`` with the verified DAG's edge tuple; the comparison
+    runs on every call, so a warm memo vouches for no tag that a cold one
+    would refuse.  The returned layout's ``dag`` is ``problem.dag`` itself.
 
     Raises :class:`SolverError` when the problem has no tag, its family has
-    no builder, the builder rejects the parameters, or the rebuilt DAG
+    no builder, the builder rejects the parameters, or the generated DAG
     differs from the problem's.
     """
     fam = problem.family
@@ -114,27 +121,38 @@ def authenticated_instance(problem: PebblingProblem) -> Any:
     if builder is None:
         raise SolverError(f"the family tag {fam} names no instance builder")
     key = _tag_memo_key(fam)
-    inst = None
+    entry = None
     if key is not None:
         with _TAG_MEMO_LOCK:
-            inst = _TAG_MEMO.get(key)
-            if inst is not None:
+            entry = _TAG_MEMO.get(key)
+            if entry is not None:
                 _TAG_MEMO.move_to_end(key)
-    if inst is None:
+    fresh = entry is None
+    if fresh:
         try:
-            inst = builder(**fam.as_dict())
+            entry = builder(**fam.as_dict())
         except Exception as exc:
             raise SolverError(
                 f"the family tag {fam} is malformed — "
                 f"{builder.__name__} rejected its parameters: {exc}"
             ) from exc
-        if key is not None:
-            _remember(key, inst)
-    if inst.dag is not problem.dag and inst.dag != problem.dag:
+    layout, n, edges = entry
+    dag = problem.dag
+    # ComputationalDAG.__eq__'s test; the memo's edge tuple is that of the
+    # first DAG it verified, so an r-sweep over one DAG stops at ``is``
+    if n != dag.n or not (
+        edges is dag.edges or edges == dag.edges or set(edges) == set(dag.edges)
+    ):
         raise SolverError(
             f"the family tag {fam} does not reproduce the problem's DAG "
-            f"(n={problem.dag.n}, m={problem.dag.m}); was the tag copied onto a different graph?"
+            f"(n={dag.n}, m={dag.m}); was the tag copied onto a different graph?"
         )
+    if fresh and key is not None:
+        _remember(key, (layout, n, dag.edges))
+    # dataclasses.replace(layout, dag=dag) minus its __init__ pass, which
+    # alone took as long as the rest of the check on a 31-node tree
+    inst = object.__new__(type(layout))
+    inst.__dict__.update(vars(layout), dag=dag)
     return inst
 
 
@@ -207,9 +225,7 @@ def best_lower_bound(problem: PebblingProblem) -> Tuple[Optional[int], str]:
         # only for variants that keep I/O mandatory.  Stay conservative.
         return None, ""
     dag = problem.dag
-    if dag.n > 1 and any(
-        not dag.predecessors(v) and not dag.successors(v) for v in dag.nodes()
-    ):
+    if dag.n > 1 and not set(dag.sources).isdisjoint(dag.sinks):  # an isolated node
         return None, ""
     candidates: List[Tuple[int, str]] = [(dag.trivial_cost(), "trivial")]
     candidates.extend(_family_bounds(problem))

@@ -41,6 +41,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain
+from operator import not_
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
@@ -106,7 +107,7 @@ class _DagData:
         "n",
         "m",
         "preds",
-        "in_edges",
+        "_in_edges",
         "indeg",
         "outdeg",
         "is_source",
@@ -120,29 +121,22 @@ class _DagData:
         n = dag.n
         self.n = n
         self.m = dag.m
-        self.preds: Tuple[Tuple[int, ...], ...] = tuple(
-            dag.predecessors(v) for v in range(n)
-        )
-        # the DAG's own (u, v) -> edge id dict, shared rather than copied
+        # the DAG's own predecessor tuples and (u, v) -> edge id dict, shared
+        # rather than copied
+        self.preds: Tuple[Tuple[int, ...], ...] = dag._preds
         self.edge_index: Dict[Tuple[int, int], int] = dag._edge_index
-        self.in_edges: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
-            tuple((u, self.edge_index[(u, v)]) for u in self.preds[v])
-            for v in range(n)
-        )
-        self.indeg: List[int] = [dag.in_degree(v) for v in range(n)]
-        self.outdeg: List[int] = [dag.out_degree(v) for v in range(n)]
-        self.is_source = bytearray(n)
-        for v in dag.sources:
-            self.is_source[v] = 1
-        self.is_sink = bytearray(n)
-        for v in dag.sinks:
-            self.is_sink[v] = 1
+        # (u, edge id) of each node's in-edges: _prbp_scalar builds it on the
+        # first clear row, which no one-shot schedule has
+        self._in_edges: Optional[Tuple[Tuple[Tuple[int, int], ...], ...]] = None
+        self.indeg: List[int] = list(map(len, dag._preds))
+        self.outdeg: List[int] = list(map(len, dag._succs))
+        self.is_source = bytearray(map(not_, dag._preds))
+        self.is_sink = bytearray(map(not_, dag._succs))
         self.sinks: Tuple[int, ...] = dag.sinks
-        # a game cannot start on such a DAG; DAG.validate_no_isolated() (which
-        # waives single-node graphs) raises the message when this is set
-        self.has_isolated = n > 1 and any(
-            not self.preds[v] and not self.outdeg[v] for v in range(n)
-        )
+        # an isolated node is a source and a sink; a game cannot start on such a
+        # DAG, and DAG.validate_no_isolated() (which waives single-node graphs)
+        # raises the message when this is set
+        self.has_isolated = n > 1 and not set(dag.sources).isdisjoint(dag.sinks)
 
 
 _DAG_DATA_CACHE: "OrderedDict[int, Tuple[ComputationalDAG, _DagData]]" = OrderedDict()
@@ -155,18 +149,27 @@ _DAG_DATA_CACHE_SIZE = 2
 # Guards the LRU: concurrent solves in one process share it, and an eviction
 # between another thread's lookup and move_to_end would raise KeyError.
 _DAG_DATA_LOCK = threading.Lock()
+# The LRU's newest (dag, data) entry, set under the lock on every hit and
+# build: a repeat lookup of one DAG (the refiner's thousands) takes no lock
+# and pins nothing the LRU does not.
+_last_dag_data: Tuple[Optional[ComputationalDAG], Optional[_DagData]] = (None, None)
 
 
 def _dag_data(dag: ComputationalDAG) -> _DagData:
+    global _last_dag_data
+    last_dag, last_data = _last_dag_data
+    if last_dag is dag:
+        return last_data  # type: ignore[return-value]
     key = id(dag)
     with _DAG_DATA_LOCK:
         hit = _DAG_DATA_CACHE.get(key)
         if hit is not None and hit[0] is dag:
             _DAG_DATA_CACHE.move_to_end(key)
+            _last_dag_data = hit
             return hit[1]
     data = _DagData(dag)
     with _DAG_DATA_LOCK:
-        _DAG_DATA_CACHE[key] = (dag, data)
+        _DAG_DATA_CACHE[key] = _last_dag_data = (dag, data)
         _DAG_DATA_CACHE.move_to_end(key)
         while len(_DAG_DATA_CACHE) > _DAG_DATA_CACHE_SIZE:
             _DAG_DATA_CACHE.popitem(last=False)
@@ -513,7 +516,6 @@ def _prbp_scalar(
     indeg = data.indeg
     outdeg = data.outdeg
     is_sink = data.is_sink
-    in_edges = data.in_edges
     edge_index = data.edge_index
     allow_delete = variant.allow_delete
     one_shot = variant.one_shot
@@ -604,7 +606,11 @@ def _prbp_scalar(
             if st == 2 or st == 3:
                 rc -= 1
             state[x] = 0
-            for u, eid in in_edges[x]:
+            if data._in_edges is None:
+                data._in_edges = tuple(
+                    tuple((u, edge_index[(u, v)]) for u in p) for v, p in enumerate(data.preds)
+                )
+            for u, eid in data._in_edges[x]:
                 if marked[eid]:
                     marked[eid] = 0
                     marked_in[x] -= 1

@@ -3,9 +3,13 @@
 Each family offers two entry points: ``*_dag(...)`` returns a plain
 :class:`~repro.core.dag.ComputationalDAG`, while ``*_instance(...)`` returns
 a layout object that additionally names the individual nodes (used by the
-structured strategy generators and by tests).
+structured strategy generators and by tests).  Tagged families also have a
+``*_layout(...)`` builder, the one generator of their edges: it returns the
+layout, node count and edge tuple without building a DAG, for the tag check
+of :func:`repro.api.bounds.authenticated_instance`.
 """
 
+from . import attention, fanin, fft, gadgets, linalg, pyramid, trees
 from .attention import AttentionInstance, attention_dag, attention_instance
 from .fanin import FanInGroupsInstance, fanin_groups_dag, fanin_groups_instance
 from .fft import FFTInstance, fft_dag, fft_instance
@@ -43,22 +47,22 @@ from .trees import (
     optimal_rbp_tree_cost,
 )
 
-#: Family tag name → the ``*_instance`` builder whose generator writes that
-#: tag.  Every tag's keys equal its builder's keyword names, so
-#: ``FAMILY_INSTANCE_BUILDERS[fam.name](**fam.as_dict())`` regenerates the
-#: layout (and ``.dag``) of a tagged DAG.
+#: Family tag name → the layout builder of the generator that writes the tag.
+#: A tag's keys are its builder's keyword names, and ``builder(**fam.as_dict())``
+#: returns ``(layout, n, edges)``: the ``*_instance`` layout with ``dag=None``
+#: and the tagged DAG's node count and edge tuple, with no DAG built.
 FAMILY_INSTANCE_BUILDERS = {
-    "attention": attention_instance,
-    "chained_gadget": chained_gadget_instance,
-    "fanin_groups": fanin_groups_instance,
-    "fft": fft_instance,
-    "figure1": figure1_instance,
-    "kary_tree": kary_tree_instance,
-    "matmul": matmul_instance,
-    "matvec": matvec_instance,
-    "pebble_collection": pebble_collection_instance,
-    "pyramid": pyramid_instance,
-    "zipper": zipper_instance,
+    "attention": attention.attention_layout,
+    "chained_gadget": gadgets.chained_gadget_layout,
+    "fanin_groups": fanin.fanin_groups_layout,
+    "fft": fft.fft_layout,
+    "figure1": gadgets.figure1_layout,
+    "kary_tree": trees.kary_tree_layout,
+    "matmul": linalg.matmul_layout,
+    "matvec": linalg.matvec_layout,
+    "pebble_collection": gadgets.pebble_collection_layout,
+    "pyramid": pyramid.pyramid_layout,
+    "zipper": gadgets.zipper_layout,
 }
 
 __all__ = [

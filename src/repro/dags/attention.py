@@ -21,12 +21,12 @@ needs the part described above, which is the default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from dataclasses import dataclass, replace
+from typing import List, Tuple
 
 from ..core.dag import ComputationalDAG, DAGFamily, Edge
 
-__all__ = ["AttentionInstance", "attention_instance", "attention_dag"]
+__all__ = ["AttentionInstance", "attention_layout", "attention_instance", "attention_dag"]
 
 
 @dataclass(frozen=True)
@@ -89,57 +89,55 @@ class AttentionInstance:
         return self.m * self.m * self.d
 
 
-def attention_instance(m: int, d: int, include_softmax: bool = False) -> AttentionInstance:
-    """Build the attention DAG for sequence length ``m`` and head dimension ``d``."""
+def attention_layout(
+    m: int, d: int, include_softmax: bool = False
+) -> Tuple[AttentionInstance, int, Tuple[Edge, ...]]:
+    """:func:`attention_instance`'s layout (with ``dag=None``), node count and edges; builds no DAG."""
     if m < 1 or d < 1:
         raise ValueError(f"m and d must be >= 1, got m={m}, d={d}")
     inst = AttentionInstance(dag=None, m=m, d=d, include_softmax=include_softmax)  # type: ignore[arg-type]
-    labels: Dict[int, str] = {}
     edges: List[Edge] = []
     for i in range(m):
-        for k in range(d):
-            labels[inst.q(i, k)] = f"Q[{i},{k}]"
-    for k in range(d):
         for j in range(m):
-            labels[inst.kt(k, j)] = f"KT[{k},{j}]"
-    for i in range(m):
-        for j in range(m):
+            p0 = inst.product(i, j, 0)
             for k in range(d):
-                p = inst.product(i, j, k)
-                labels[p] = f"qk[{i},{j},{k}]"
-                edges.append((inst.q(i, k), p))
-                edges.append((inst.kt(k, j), p))
+                edges.append((inst.q(i, k), p0 + k))
+                edges.append((inst.kt(k, j), p0 + k))
     for i in range(m):
         for j in range(m):
             s = inst.score(i, j)
-            labels[s] = f"S[{i},{j}]"
-            for k in range(d):
-                edges.append((inst.product(i, j, k), s))
-    for i in range(m):
-        for j in range(m):
-            e = inst.exp(i, j)
-            labels[e] = f"E[{i},{j}]"
-            edges.append((inst.score(i, j), e))
+            edges.extend((p, s) for p in range(inst.product(i, j, 0), inst.product(i, j, d)))
+    edges.extend((inst.score(i, j), inst.exp(i, j)) for i in range(m) for j in range(m))
     if include_softmax:
         for i in range(m):
             rs = inst.rowsum(i)
-            labels[rs] = f"Z[{i}]"
-            for j in range(m):
-                edges.append((inst.exp(i, j), rs))
+            edges.extend((inst.exp(i, j), rs) for j in range(m))
         for i in range(m):
             for j in range(m):
                 o = inst.output(i, j)
-                labels[o] = f"P[{i},{j}]"
                 edges.append((inst.exp(i, j), o))
                 edges.append((inst.rowsum(i), o))
-    dag = ComputationalDAG(
-        inst.n_nodes,
-        edges,
-        labels=labels,
-        name=f"attention-m{m}-d{d}{'-softmax' if include_softmax else ''}",
-        family=DAGFamily.tag("attention", m=m, d=d, include_softmax=include_softmax),
-    )
-    return AttentionInstance(dag=dag, m=m, d=d, include_softmax=include_softmax)
+    return inst, inst.n_nodes, tuple(edges)
+
+
+def attention_instance(m: int, d: int, include_softmax: bool = False) -> AttentionInstance:
+    """Build the attention DAG for sequence length ``m`` and head dimension ``d``."""
+    inst, n, edges = attention_layout(m, d, include_softmax)
+    labels = {inst.q(i, k): f"Q[{i},{k}]" for i in range(m) for k in range(d)}
+    labels.update({inst.kt(k, j): f"KT[{k},{j}]" for k in range(d) for j in range(m)})
+    for i in range(m):
+        for j in range(m):
+            for k in range(d):
+                labels[inst.product(i, j, k)] = f"qk[{i},{j},{k}]"
+            labels[inst.score(i, j)] = f"S[{i},{j}]"
+            labels[inst.exp(i, j)] = f"E[{i},{j}]"
+            if include_softmax:
+                labels[inst.output(i, j)] = f"P[{i},{j}]"
+        if include_softmax:
+            labels[inst.rowsum(i)] = f"Z[{i}]"
+    name = f"attention-m{m}-d{d}{'-softmax' if include_softmax else ''}"
+    family = DAGFamily.tag("attention", m=m, d=d, include_softmax=include_softmax)
+    return replace(inst, dag=ComputationalDAG(n, edges, labels, name, family))
 
 
 def attention_dag(m: int, d: int, include_softmax: bool = False) -> ComputationalDAG:

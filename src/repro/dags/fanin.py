@@ -17,12 +17,12 @@ needs ``num_groups >= 2r + 1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Tuple
 
 from ..core.dag import ComputationalDAG, DAGFamily, Edge
 
-__all__ = ["FanInGroupsInstance", "fanin_groups_instance", "fanin_groups_dag"]
+__all__ = ["FanInGroupsInstance", "fanin_groups_layout", "fanin_groups_instance", "fanin_groups_dag"]
 
 
 @dataclass(frozen=True)
@@ -41,47 +41,44 @@ class FanInGroupsInstance:
     sink: int
 
 
-def fanin_groups_instance(num_groups: int = 7, group_size: int = 10) -> FanInGroupsInstance:
-    """Build the Lemma 5.4 DAG with ``num_groups`` groups of ``group_size`` nodes each."""
+def fanin_groups_layout(
+    num_groups: int = 7, group_size: int = 10
+) -> Tuple[FanInGroupsInstance, int, Tuple[Edge, ...]]:
+    """:func:`fanin_groups_instance`'s layout (with ``dag=None``), node count and edges; builds no DAG."""
     if num_groups < 1:
         raise ValueError(f"num_groups must be >= 1, got {num_groups}")
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
-    labels: Dict[int, str] = {}
     sources = tuple(range(num_groups))
-    for i, u in enumerate(sources):
-        labels[u] = f"u{i + 1}"
-    groups: List[Tuple[int, ...]] = []
-    next_id = num_groups
-    for i in range(num_groups):
-        ids = tuple(range(next_id, next_id + group_size))
-        for j, w in enumerate(ids):
-            labels[w] = f"H{i + 1},{j}"
-        groups.append(ids)
-        next_id += group_size
-    sink = next_id
-    labels[sink] = "v"
-    next_id += 1
+    groups = tuple(
+        tuple(range(num_groups + i * group_size, num_groups + (i + 1) * group_size))
+        for i in range(num_groups)
+    )
+    sink = num_groups + num_groups * group_size
     edges: List[Edge] = []
     for i in range(num_groups):
         for w in groups[i]:
             edges.append((sources[i], w))
             edges.append((w, sink))
-    dag = ComputationalDAG(
-        next_id,
-        edges,
-        labels=labels,
-        name=f"fanin-{num_groups}x{group_size}",
-        family=DAGFamily.tag("fanin_groups", num_groups=num_groups, group_size=group_size),
-    )
-    return FanInGroupsInstance(
-        dag=dag,
+    inst = FanInGroupsInstance(
+        dag=None,  # type: ignore[arg-type]
         num_groups=num_groups,
         group_size=group_size,
         sources=sources,
-        groups=tuple(groups),
+        groups=groups,
         sink=sink,
     )
+    return inst, sink + 1, tuple(edges)
+
+
+def fanin_groups_instance(num_groups: int = 7, group_size: int = 10) -> FanInGroupsInstance:
+    """Build the Lemma 5.4 DAG with ``num_groups`` groups of ``group_size`` nodes each."""
+    inst, n, edges = fanin_groups_layout(num_groups, group_size)
+    labels = {u: f"u{i + 1}" for i, u in enumerate(inst.sources)}
+    labels.update({w: f"H{i + 1},{j}" for i, ids in enumerate(inst.groups) for j, w in enumerate(ids)})
+    labels[inst.sink] = "v"
+    family = DAGFamily.tag("fanin_groups", num_groups=num_groups, group_size=group_size)
+    return replace(inst, dag=ComputationalDAG(n, edges, labels, f"fanin-{num_groups}x{group_size}", family))
 
 
 def fanin_groups_dag(num_groups: int = 7, group_size: int = 10) -> ComputationalDAG:

@@ -14,12 +14,12 @@ partitions; see :mod:`repro.bounds.analytic`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Tuple
 
 from ..core.dag import ComputationalDAG, DAGFamily, Edge
 
-__all__ = ["FFTInstance", "fft_instance", "fft_dag"]
+__all__ = ["FFTInstance", "fft_layout", "fft_instance", "fft_dag"]
 
 
 @dataclass(frozen=True)
@@ -53,31 +53,28 @@ def _is_power_of_two(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
 
 
-def fft_instance(m: int) -> FFTInstance:
-    """Build the ``m``-point FFT DAG (``m`` must be a power of two, ``m >= 2``)."""
+def fft_layout(m: int) -> Tuple[FFTInstance, int, Tuple[Edge, ...]]:
+    """:func:`fft_instance`'s layout (with ``dag=None``), node count and edges; builds no DAG."""
     if not _is_power_of_two(m) or m < 2:
         raise ValueError(f"m must be a power of two >= 2, got {m}")
     levels = m.bit_length() - 1  # log2(m)
-    labels: Dict[int, str] = {}
     edges: List[Edge] = []
-    inst = FFTInstance(dag=None, m=m, levels=levels)  # type: ignore[arg-type]
-    for t in range(levels + 1):
-        for j in range(m):
-            labels[inst.node(t, j)] = f"f{t},{j}"
     for t in range(1, levels + 1):
         stride = 1 << (t - 1)
+        below = (t - 1) * m
         for j in range(m):
-            v = inst.node(t, j)
-            edges.append((inst.node(t - 1, j), v))
-            edges.append((inst.node(t - 1, j ^ stride), v))
-    dag = ComputationalDAG(
-        m * (levels + 1),
-        edges,
-        labels=labels,
-        name=f"fft-{m}",
-        family=DAGFamily.tag("fft", m=m),
-    )
-    return FFTInstance(dag=dag, m=m, levels=levels)
+            v = below + m + j
+            edges.append((below + j, v))
+            edges.append((below + (j ^ stride), v))
+    return FFTInstance(dag=None, m=m, levels=levels), m * (levels + 1), tuple(edges)  # type: ignore[arg-type]
+
+
+def fft_instance(m: int) -> FFTInstance:
+    """Build the ``m``-point FFT DAG (``m`` must be a power of two, ``m >= 2``)."""
+    inst, n, edges = fft_layout(m)
+    labels = {inst.node(t, j): f"f{t},{j}" for t in range(inst.levels + 1) for j in range(m)}
+    family = DAGFamily.tag("fft", m=m)
+    return replace(inst, dag=ComputationalDAG(n, edges, labels, f"fft-{m}", family))
 
 
 def fft_dag(m: int) -> ComputationalDAG:

@@ -18,7 +18,8 @@ node numbering as the DAG builder — a single source of truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
 from ..core.dag import ComputationalDAG, DAGFamily, Edge
@@ -26,15 +27,19 @@ from ..core.dag import ComputationalDAG, DAGFamily, Edge
 __all__ = [
     "Figure1Instance",
     "figure1_gadget",
+    "figure1_layout",
     "figure1_instance",
     "ChainedGadgetInstance",
     "chained_gadget_dag",
+    "chained_gadget_layout",
     "chained_gadget_instance",
     "ZipperInstance",
     "zipper_gadget",
+    "zipper_layout",
     "zipper_instance",
     "PebbleCollectionInstance",
     "pebble_collection_gadget",
+    "pebble_collection_layout",
     "pebble_collection_instance",
 ]
 
@@ -86,6 +91,56 @@ class Figure1Instance:
         return self.w0 >= 0
 
 
+def figure1_layout(
+    include_endpoints: bool = True,
+    with_z_layer: bool = False,
+    with_w0: bool = False,
+) -> Tuple[Figure1Instance, int, Tuple[Edge, ...]]:
+    """:func:`figure1_instance`'s layout (with ``dag=None``), node count and edges; builds no DAG."""
+    if with_z_layer and not include_endpoints:
+        raise ValueError("the z-layer variant requires the endpoints u0 and v0")
+    ids = itertools.count()
+    u0 = next(ids) if include_endpoints else -1
+    z1 = next(ids) if with_z_layer else -1
+    z2 = next(ids) if with_z_layer else -1
+    u1, u2 = next(ids), next(ids)
+    w0 = next(ids) if with_w0 else -1
+    w1, w2, w3, w4, v1, v2 = (next(ids) for _ in range(6))
+    v0 = next(ids) if include_endpoints else -1
+
+    edges: List[Edge] = []
+    if include_endpoints:
+        if with_z_layer:
+            edges += [(u0, z1), (u0, z2), (z1, u1), (z2, u1), (z1, u2), (z2, u2)]
+        else:
+            edges += [(u0, u1), (u0, u2)]
+    edges += [(u1, w1), (u1, w2), (u1, w4)]
+    if with_w0:
+        edges += [(u1, w0), (w0, w3)]
+    edges += [(w1, w3), (w2, w3), (w3, w4)]
+    edges += [(w4, v1), (w4, v2), (u2, v1), (u2, v2)]
+    if include_endpoints:
+        edges += [(v1, v0), (v2, v0)]
+    inst = Figure1Instance(
+        dag=None,  # type: ignore[arg-type]
+        u0=u0,
+        u1=u1,
+        u2=u2,
+        w1=w1,
+        w2=w2,
+        w3=w3,
+        w4=w4,
+        v1=v1,
+        v2=v2,
+        v0=v0,
+        z1=z1,
+        z2=z2,
+        w0=w0,
+        include_endpoints=include_endpoints,
+    )
+    return inst, next(ids), tuple(edges)
+
+
 def figure1_instance(
     include_endpoints: bool = True,
     with_z_layer: bool = False,
@@ -107,45 +162,10 @@ def figure1_instance(
         the sliding-pebble variant needs three simultaneous red pebbles on
         the inputs of ``w3``.
     """
-    if with_z_layer and not include_endpoints:
-        raise ValueError("the z-layer variant requires the endpoints u0 and v0")
-    labels: Dict[int, str] = {}
-    next_id = 0
-
-    def new(label: str) -> int:
-        nonlocal next_id
-        labels[next_id] = label
-        next_id += 1
-        return next_id - 1
-
-    u0 = new("u0") if include_endpoints else -1
-    z1 = new("z1") if with_z_layer else -1
-    z2 = new("z2") if with_z_layer else -1
-    u1 = new("u1")
-    u2 = new("u2")
-    w0 = new("w0") if with_w0 else -1
-    w1 = new("w1")
-    w2 = new("w2")
-    w3 = new("w3")
-    w4 = new("w4")
-    v1 = new("v1")
-    v2 = new("v2")
-    v0 = new("v0") if include_endpoints else -1
-
-    edges: List[Edge] = []
-    if include_endpoints:
-        if with_z_layer:
-            edges += [(u0, z1), (u0, z2), (z1, u1), (z2, u1), (z1, u2), (z2, u2)]
-        else:
-            edges += [(u0, u1), (u0, u2)]
-    edges += [(u1, w1), (u1, w2), (u1, w4)]
-    if with_w0:
-        edges += [(u1, w0), (w0, w3)]
-    edges += [(w1, w3), (w2, w3), (w3, w4)]
-    edges += [(w4, v1), (w4, v2), (u2, v1), (u2, v2)]
-    if include_endpoints:
-        edges += [(v1, v0), (v2, v0)]
-
+    inst, n, edges = figure1_layout(include_endpoints, with_z_layer, with_w0)
+    # every node is labelled with the name of its layout field
+    roles = ("u0", "z1", "z2", "u1", "u2", "w0", "w1", "w2", "w3", "w4", "v1", "v2", "v0")
+    labels = {v: role for role in roles if (v := getattr(inst, role)) >= 0}
     name = "figure1"
     if not include_endpoints:
         name += "-core"
@@ -153,35 +173,10 @@ def figure1_instance(
         name += "+z"
     if with_w0:
         name += "+w0"
-    dag = ComputationalDAG(
-        next_id,
-        edges,
-        labels=labels,
-        name=name,
-        family=DAGFamily.tag(
-            "figure1",
-            include_endpoints=include_endpoints,
-            with_z_layer=with_z_layer,
-            with_w0=with_w0,
-        ),
+    family = DAGFamily.tag(
+        "figure1", include_endpoints=include_endpoints, with_z_layer=with_z_layer, with_w0=with_w0
     )
-    return Figure1Instance(
-        dag=dag,
-        u0=u0,
-        u1=u1,
-        u2=u2,
-        w1=w1,
-        w2=w2,
-        w3=w3,
-        w4=w4,
-        v1=v1,
-        v2=v2,
-        v0=v0,
-        z1=z1,
-        z2=z2,
-        w0=w0,
-        include_endpoints=include_endpoints,
-    )
+    return replace(inst, dag=ComputationalDAG(n, edges, labels, name, family))
 
 
 def figure1_gadget(
@@ -220,33 +215,19 @@ class ChainedGadgetInstance:
     gadget_nodes: Tuple[Dict[str, int], ...]
 
 
-def chained_gadget_instance(copies: int) -> ChainedGadgetInstance:
-    """Build the Proposition 4.7 chain with ``copies`` gadget copies (``copies >= 1``)."""
+def chained_gadget_layout(copies: int) -> Tuple[ChainedGadgetInstance, int, Tuple[Edge, ...]]:
+    """:func:`chained_gadget_instance`'s layout (with ``dag=None``), node count and edges; builds no DAG."""
     if copies < 1:
         raise ValueError(f"need at least one gadget copy, got {copies}")
-    labels: Dict[int, str] = {}
-    next_id = 0
-
-    def new(label: str) -> int:
-        nonlocal next_id
-        labels[next_id] = label
-        next_id += 1
-        return next_id - 1
-
-    u0 = new("u0")
+    ids = itertools.count()
+    u0 = next(ids)
     edges: List[Edge] = []
     per_copy: List[Dict[str, int]] = []
     # entry nodes of the current copy (u1, u2); for the first copy they are fresh
-    cur_u1 = new("g0.u1")
-    cur_u2 = new("g0.u2")
+    cur_u1, cur_u2 = next(ids), next(ids)
     edges += [(u0, cur_u1), (u0, cur_u2)]
-    for i in range(copies):
-        w1 = new(f"g{i}.w1")
-        w2 = new(f"g{i}.w2")
-        w3 = new(f"g{i}.w3")
-        w4 = new(f"g{i}.w4")
-        v1 = new(f"g{i}.v1")
-        v2 = new(f"g{i}.v2")
+    for _ in range(copies):
+        w1, w2, w3, w4, v1, v2 = (next(ids) for _ in range(6))
         edges += [
             (cur_u1, w1),
             (cur_u1, w2),
@@ -260,30 +241,27 @@ def chained_gadget_instance(copies: int) -> ChainedGadgetInstance:
             (cur_u2, v2),
         ]
         per_copy.append(
-            {
-                "u1": cur_u1,
-                "u2": cur_u2,
-                "w1": w1,
-                "w2": w2,
-                "w3": w3,
-                "w4": w4,
-                "v1": v1,
-                "v2": v2,
-            }
+            {"u1": cur_u1, "u2": cur_u2, "w1": w1, "w2": w2, "w3": w3, "w4": w4, "v1": v1, "v2": v2}
         )
         cur_u1, cur_u2 = v1, v2
-    v0 = new("v0")
+    v0 = next(ids)
     edges += [(cur_u1, v0), (cur_u2, v0)]
-    dag = ComputationalDAG(
-        next_id,
-        edges,
-        labels=labels,
-        name=f"prop47-chain-{copies}",
-        family=DAGFamily.tag("chained_gadget", copies=copies),
+    inst = ChainedGadgetInstance(
+        dag=None, copies=copies, u0=u0, v0=v0, gadget_nodes=tuple(per_copy)  # type: ignore[arg-type]
     )
-    return ChainedGadgetInstance(
-        dag=dag, copies=copies, u0=u0, v0=v0, gadget_nodes=tuple(per_copy)
-    )
+    return inst, next(ids), tuple(edges)
+
+
+def chained_gadget_instance(copies: int) -> ChainedGadgetInstance:
+    """Build the Proposition 4.7 chain with ``copies`` gadget copies (``copies >= 1``)."""
+    inst, n, edges = chained_gadget_layout(copies)
+    labels = {inst.u0: "u0", inst.v0: "v0"}
+    for i, roles in enumerate(inst.gadget_nodes):
+        for role, v in roles.items():
+            # v1/v2 of copy i are u1/u2 of copy i + 1 and keep copy i's label
+            labels.setdefault(v, f"g{i}.{role}")
+    family = DAGFamily.tag("chained_gadget", copies=copies)
+    return replace(inst, dag=ComputationalDAG(n, edges, labels, f"prop47-chain-{copies}", family))
 
 
 def chained_gadget_dag(copies: int) -> ComputationalDAG:
@@ -318,26 +296,15 @@ class ZipperInstance:
         return self.group_a if i % 2 == 0 else self.group_b
 
 
-def zipper_instance(d: int, length: int) -> ZipperInstance:
-    """Build a zipper gadget with group size ``d`` and chain length ``length``.
-
-    ``length >= 2`` is required so that both source groups are actually used
-    (with a single chain node group B would consist of isolated nodes).
-    """
+def zipper_layout(d: int, length: int) -> Tuple[ZipperInstance, int, Tuple[Edge, ...]]:
+    """:func:`zipper_instance`'s layout (with ``dag=None``), node count and edges; builds no DAG."""
     if d < 1:
         raise ValueError(f"group size d must be >= 1, got {d}")
     if length < 2:
         raise ValueError(f"chain length must be >= 2, got {length}")
-    labels: Dict[int, str] = {}
     group_a = tuple(range(0, d))
     group_b = tuple(range(d, 2 * d))
     chain = tuple(range(2 * d, 2 * d + length))
-    for j, v in enumerate(group_a):
-        labels[v] = f"a{j}"
-    for j, v in enumerate(group_b):
-        labels[v] = f"b{j}"
-    for j, v in enumerate(chain):
-        labels[v] = f"c{j}"
     edges: List[Edge] = []
     for i, c in enumerate(chain):
         if i > 0:
@@ -345,14 +312,24 @@ def zipper_instance(d: int, length: int) -> ZipperInstance:
         group = group_a if i % 2 == 0 else group_b
         for u in group:
             edges.append((u, c))
-    dag = ComputationalDAG(
-        2 * d + length,
-        edges,
-        labels=labels,
-        name=f"zipper-d{d}-l{length}",
-        family=DAGFamily.tag("zipper", d=d, length=length),
+    inst = ZipperInstance(
+        dag=None, d=d, length=length, group_a=group_a, group_b=group_b, chain=chain  # type: ignore[arg-type]
     )
-    return ZipperInstance(dag=dag, d=d, length=length, group_a=group_a, group_b=group_b, chain=chain)
+    return inst, 2 * d + length, tuple(edges)
+
+
+def zipper_instance(d: int, length: int) -> ZipperInstance:
+    """Build a zipper gadget with group size ``d`` and chain length ``length``.
+
+    ``length >= 2`` is required so that both source groups are actually used
+    (with a single chain node group B would consist of isolated nodes).
+    """
+    inst, n, edges = zipper_layout(d, length)
+    labels = {v: f"a{j}" for j, v in enumerate(inst.group_a)}
+    labels.update({v: f"b{j}" for j, v in enumerate(inst.group_b)})
+    labels.update({v: f"c{j}" for j, v in enumerate(inst.chain)})
+    family = DAGFamily.tag("zipper", d=d, length=length)
+    return replace(inst, dag=ComputationalDAG(n, edges, labels, f"zipper-d{d}-l{length}", family))
 
 
 def zipper_gadget(d: int, length: int) -> ComputationalDAG:
@@ -385,32 +362,34 @@ class PebbleCollectionInstance:
         return self.sources[i % self.d]
 
 
-def pebble_collection_instance(d: int, length: int) -> PebbleCollectionInstance:
-    """Build a pebble collection gadget with ``d`` sources and chain length ``length``."""
+def pebble_collection_layout(
+    d: int, length: int
+) -> Tuple[PebbleCollectionInstance, int, Tuple[Edge, ...]]:
+    """:func:`pebble_collection_instance`'s layout (with ``dag=None``), node count and edges; builds no DAG."""
     if d < 1:
         raise ValueError(f"number of sources d must be >= 1, got {d}")
     if length < 1:
         raise ValueError(f"chain length must be >= 1, got {length}")
-    labels: Dict[int, str] = {}
     sources = tuple(range(d))
     chain = tuple(range(d, d + length))
-    for j, v in enumerate(sources):
-        labels[v] = f"u{j}"
-    for j, v in enumerate(chain):
-        labels[v] = f"c{j}"
     edges: List[Edge] = []
     for i, c in enumerate(chain):
         if i > 0:
             edges.append((chain[i - 1], c))
         edges.append((sources[i % d], c))
-    dag = ComputationalDAG(
-        d + length,
-        edges,
-        labels=labels,
-        name=f"collection-d{d}-l{length}",
-        family=DAGFamily.tag("pebble_collection", d=d, length=length),
+    inst = PebbleCollectionInstance(
+        dag=None, d=d, length=length, sources=sources, chain=chain  # type: ignore[arg-type]
     )
-    return PebbleCollectionInstance(dag=dag, d=d, length=length, sources=sources, chain=chain)
+    return inst, d + length, tuple(edges)
+
+
+def pebble_collection_instance(d: int, length: int) -> PebbleCollectionInstance:
+    """Build a pebble collection gadget with ``d`` sources and chain length ``length``."""
+    inst, n, edges = pebble_collection_layout(d, length)
+    labels = {v: f"u{j}" for j, v in enumerate(inst.sources)}
+    labels.update({v: f"c{j}" for j, v in enumerate(inst.chain)})
+    family = DAGFamily.tag("pebble_collection", d=d, length=length)
+    return replace(inst, dag=ComputationalDAG(n, edges, labels, f"collection-d{d}-l{length}", family))
 
 
 def pebble_collection_gadget(d: int, length: int) -> ComputationalDAG:

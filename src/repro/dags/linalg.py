@@ -16,16 +16,18 @@ size ``m1 × m2`` and ``B`` of size ``m2 × m3`` has ``m1·m2 + m2·m3`` sources
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from dataclasses import dataclass, replace
+from typing import List, Tuple
 
 from ..core.dag import ComputationalDAG, DAGFamily, Edge
 
 __all__ = [
     "MatVecInstance",
+    "matvec_layout",
     "matvec_instance",
     "matvec_dag",
     "MatMulInstance",
+    "matmul_layout",
     "matmul_instance",
     "matmul_dag",
 ]
@@ -66,37 +68,34 @@ class MatVecInstance:
         return 2 * self.m * self.m + 2 * self.m
 
 
-def matvec_instance(m: int) -> MatVecInstance:
-    """Build the matrix–vector DAG for an ``m × m`` matrix (``m >= 1``)."""
+def matvec_layout(m: int) -> Tuple[MatVecInstance, int, Tuple[Edge, ...]]:
+    """:func:`matvec_instance`'s layout (with ``dag=None``), node count and edges; builds no DAG."""
     if m < 1:
         raise ValueError(f"matrix dimension m must be >= 1, got {m}")
     inst = MatVecInstance(dag=None, m=m)  # type: ignore[arg-type]
-    labels: Dict[int, str] = {}
     edges: List[Edge] = []
     for j in range(m):
         for i in range(m):
-            labels[inst.a(j, i)] = f"A[{j},{i}]"
-    for i in range(m):
-        labels[inst.x(i)] = f"x[{i}]"
-    for j in range(m):
-        for i in range(m):
             p = inst.product(j, i)
-            labels[p] = f"p[{j},{i}]"
             edges.append((inst.a(j, i), p))
             edges.append((inst.x(i), p))
     for j in range(m):
         yj = inst.y(j)
-        labels[yj] = f"y[{j}]"
+        edges.extend((p, yj) for p in range(inst.product(j, 0), inst.product(j, m)))
+    return inst, inst.n_nodes, tuple(edges)
+
+
+def matvec_instance(m: int) -> MatVecInstance:
+    """Build the matrix–vector DAG for an ``m × m`` matrix (``m >= 1``)."""
+    inst, n, edges = matvec_layout(m)
+    labels = {inst.x(i): f"x[{i}]" for i in range(m)}
+    labels.update({inst.y(j): f"y[{j}]" for j in range(m)})
+    for j in range(m):
         for i in range(m):
-            edges.append((inst.product(j, i), yj))
-    dag = ComputationalDAG(
-        inst.n_nodes,
-        edges,
-        labels=labels,
-        name=f"matvec-m{m}",
-        family=DAGFamily.tag("matvec", m=m),
-    )
-    return MatVecInstance(dag=dag, m=m)
+            labels[inst.a(j, i)] = f"A[{j},{i}]"
+            labels[inst.product(j, i)] = f"p[{j},{i}]"
+    family = DAGFamily.tag("matvec", m=m)
+    return replace(inst, dag=ComputationalDAG(n, edges, labels, f"matvec-m{m}", family))
 
 
 def matvec_dag(m: int) -> ComputationalDAG:
@@ -153,40 +152,38 @@ class MatMulInstance:
         return self.m1 * self.m2 * self.m3
 
 
-def matmul_instance(m1: int, m2: int, m3: int) -> MatMulInstance:
-    """Build the matmul DAG for ``A (m1×m2) · B (m2×m3)`` (all dimensions ``>= 1``)."""
+def matmul_layout(m1: int, m2: int, m3: int) -> Tuple[MatMulInstance, int, Tuple[Edge, ...]]:
+    """:func:`matmul_instance`'s layout (with ``dag=None``), node count and edges; builds no DAG."""
     if min(m1, m2, m3) < 1:
         raise ValueError(f"all dimensions must be >= 1, got ({m1}, {m2}, {m3})")
     inst = MatMulInstance(dag=None, m1=m1, m2=m2, m3=m3)  # type: ignore[arg-type]
-    labels: Dict[int, str] = {}
     edges: List[Edge] = []
     for i in range(m1):
         for k in range(m2):
-            labels[inst.a(i, k)] = f"A[{i},{k}]"
-    for k in range(m2):
-        for j in range(m3):
-            labels[inst.b(k, j)] = f"B[{k},{j}]"
-    for i in range(m1):
-        for k in range(m2):
+            a, b0, p0 = inst.a(i, k), inst.b(k, 0), inst.product(i, k, 0)
             for j in range(m3):
-                p = inst.product(i, k, j)
-                labels[p] = f"p[{i},{k},{j}]"
-                edges.append((inst.a(i, k), p))
-                edges.append((inst.b(k, j), p))
+                edges.append((a, p0 + j))
+                edges.append((b0 + j, p0 + j))
     for i in range(m1):
         for j in range(m3):
             cij = inst.c(i, j)
-            labels[cij] = f"C[{i},{j}]"
-            for k in range(m2):
-                edges.append((inst.product(i, k, j), cij))
-    dag = ComputationalDAG(
-        inst.n_nodes,
-        edges,
-        labels=labels,
-        name=f"matmul-{m1}x{m2}x{m3}",
-        family=DAGFamily.tag("matmul", m1=m1, m2=m2, m3=m3),
-    )
-    return MatMulInstance(dag=dag, m1=m1, m2=m2, m3=m3)
+            # C[i, j]'s products, k = 0 .. m2-1, lie m3 ids apart
+            edges.extend((p, cij) for p in range(inst.product(i, 0, j), inst.product(i, m2, j), m3))
+    return inst, inst.n_nodes, tuple(edges)
+
+
+def matmul_instance(m1: int, m2: int, m3: int) -> MatMulInstance:
+    """Build the matmul DAG for ``A (m1×m2) · B (m2×m3)`` (all dimensions ``>= 1``)."""
+    inst, n, edges = matmul_layout(m1, m2, m3)
+    labels = {inst.a(i, k): f"A[{i},{k}]" for i in range(m1) for k in range(m2)}
+    labels.update({inst.b(k, j): f"B[{k},{j}]" for k in range(m2) for j in range(m3)})
+    labels.update({inst.c(i, j): f"C[{i},{j}]" for i in range(m1) for j in range(m3)})
+    for i in range(m1):
+        for k in range(m2):
+            for j in range(m3):
+                labels[inst.product(i, k, j)] = f"p[{i},{k},{j}]"
+    family = DAGFamily.tag("matmul", m1=m1, m2=m2, m3=m3)
+    return replace(inst, dag=ComputationalDAG(n, edges, labels, f"matmul-{m1}x{m2}x{m3}", family))
 
 
 def matmul_dag(m1: int, m2: int, m3: int) -> ComputationalDAG:

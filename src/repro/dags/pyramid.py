@@ -15,12 +15,12 @@ gadget, but the pyramid remains useful as a test DAG and for comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Tuple
 
 from ..core.dag import ComputationalDAG, DAGFamily, Edge
 
-__all__ = ["PyramidInstance", "pyramid_instance", "pyramid_dag"]
+__all__ = ["PyramidInstance", "pyramid_layout", "pyramid_instance", "pyramid_dag"]
 
 
 @dataclass(frozen=True)
@@ -42,33 +42,31 @@ class PyramidInstance:
         return self.levels[0]
 
 
-def pyramid_instance(height: int) -> PyramidInstance:
-    """Build a pyramid of height ``height`` (``height >= 1``)."""
+def pyramid_layout(height: int) -> Tuple[PyramidInstance, int, Tuple[Edge, ...]]:
+    """:func:`pyramid_instance`'s layout (with ``dag=None``), node count and edges; builds no DAG."""
     if height < 1:
         raise ValueError(f"height must be >= 1, got {height}")
-    labels: Dict[int, str] = {}
     levels: List[Tuple[int, ...]] = []
     next_id = 0
     for t in range(height + 1):
         width = height + 1 - t
-        ids = tuple(range(next_id, next_id + width))
-        for j, v in enumerate(ids):
-            labels[v] = f"P{t},{j}"
-        levels.append(ids)
+        levels.append(tuple(range(next_id, next_id + width)))
         next_id += width
     edges: List[Edge] = []
     for t in range(1, height + 1):
         for j, v in enumerate(levels[t]):
             edges.append((levels[t - 1][j], v))
             edges.append((levels[t - 1][j + 1], v))
-    dag = ComputationalDAG(
-        next_id,
-        edges,
-        labels=labels,
-        name=f"pyramid-h{height}",
-        family=DAGFamily.tag("pyramid", height=height),
-    )
-    return PyramidInstance(dag=dag, height=height, levels=tuple(levels))
+    inst = PyramidInstance(dag=None, height=height, levels=tuple(levels))  # type: ignore[arg-type]
+    return inst, next_id, tuple(edges)
+
+
+def pyramid_instance(height: int) -> PyramidInstance:
+    """Build a pyramid of height ``height`` (``height >= 1``)."""
+    inst, n, edges = pyramid_layout(height)
+    labels = {v: f"P{t},{j}" for t, ids in enumerate(inst.levels) for j, v in enumerate(ids)}
+    family = DAGFamily.tag("pyramid", height=height)
+    return replace(inst, dag=ComputationalDAG(n, edges, labels, f"pyramid-h{height}", family))
 
 
 def pyramid_dag(height: int) -> ComputationalDAG:

@@ -14,13 +14,14 @@ paper's closed-form optimal costs are known exactly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Tuple
 
 from ..core.dag import ComputationalDAG, DAGFamily, Edge
 
 __all__ = [
     "TreeInstance",
+    "kary_tree_layout",
     "kary_tree_instance",
     "kary_tree_dag",
     "binary_tree_instance",
@@ -61,35 +62,32 @@ class TreeInstance:
         return self.levels[level + 1][lo : lo + self.k]
 
 
-def kary_tree_instance(k: int, depth: int) -> TreeInstance:
-    """Build a k-ary reduction tree of depth ``depth`` (``k >= 2``, ``depth >= 1``)."""
+def kary_tree_layout(k: int, depth: int) -> Tuple[TreeInstance, int, Tuple[Edge, ...]]:
+    """:func:`kary_tree_instance`'s layout (with ``dag=None``), node count and edges; builds no DAG."""
     if k < 2:
         raise ValueError(f"arity k must be >= 2, got {k}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    labels: Dict[int, str] = {}
     levels: List[Tuple[int, ...]] = []
     next_id = 0
     for level in range(depth + 1):
-        width = k**level
-        ids = tuple(range(next_id, next_id + width))
-        for idx, node in enumerate(ids):
-            labels[node] = f"t{level},{idx}"
-        levels.append(ids)
-        next_id += width
+        levels.append(tuple(range(next_id, next_id + k**level)))
+        next_id += k**level
     edges: List[Edge] = []
     for level in range(depth):
         for idx, parent in enumerate(levels[level]):
             for child in levels[level + 1][k * idx : k * idx + k]:
                 edges.append((child, parent))
-    dag = ComputationalDAG(
-        next_id,
-        edges,
-        labels=labels,
-        name=f"{k}ary-tree-d{depth}",
-        family=DAGFamily.tag("kary_tree", k=k, depth=depth),
-    )
-    return TreeInstance(dag=dag, k=k, depth=depth, levels=tuple(levels))
+    inst = TreeInstance(dag=None, k=k, depth=depth, levels=tuple(levels))  # type: ignore[arg-type]
+    return inst, next_id, tuple(edges)
+
+
+def kary_tree_instance(k: int, depth: int) -> TreeInstance:
+    """Build a k-ary reduction tree of depth ``depth`` (``k >= 2``, ``depth >= 1``)."""
+    inst, n, edges = kary_tree_layout(k, depth)
+    labels = {v: f"t{level},{idx}" for level, ids in enumerate(inst.levels) for idx, v in enumerate(ids)}
+    family = DAGFamily.tag("kary_tree", k=k, depth=depth)
+    return replace(inst, dag=ComputationalDAG(n, edges, labels, f"{k}ary-tree-d{depth}", family))
 
 
 def kary_tree_dag(k: int, depth: int) -> ComputationalDAG:

@@ -624,10 +624,14 @@ def refine_schedule(
                 dag, r, best_rows, best_cost, variant, game, budget, on_accept
             )
 
-    # randomized phase: order perturbations and window reorderings
+    # randomized phase: order perturbations and window reorderings; the
+    # realized order is derived once per accepted ``best_rows``
+    order_of: Tuple[Optional[List[Row]], List[int]] = (None, [])
     while budget.spend():
         if rng.random() < 0.6:
-            order = _perturb_order(dag, _realized_order(dag, best_rows, game), rng)
+            if order_of[0] is not best_rows:
+                order_of = (best_rows, _realized_order(dag, best_rows, game))
+            order = _perturb_order(dag, order_of[1], rng)
             candidate = None if order is None else _rebuild(dag, r, order, variant, game)
             if candidate is not None and candidate[1] < best_cost:
                 on_accept(*candidate)

@@ -9,7 +9,8 @@ Three profiles are registered:
   exploration enabled so repeated local runs keep probing new inputs.
 * ``thorough`` — the deep differential sweep (1500 examples per property):
   run as ``pytest tests/test_schedule_ir.py --hypothesis-profile=thorough``
-  (and on ``tests/test_anytime_properties.py::TestElisionOracle``)
+  (and on ``tests/test_anytime_properties.py::TestElisionOracle`` and
+  ``tests/test_dag_generators.py::TestLayoutBuilders``)
   (a step of CI's test job) to push the replay-kernel harness deeper.
 
 Selection order: the ``--hypothesis-profile`` CLI flag wins, then the

@@ -297,8 +297,18 @@ def _relabelled(dag):
     return ComputationalDAG(dag.n, edges, family=dag.family)
 
 
-def _memo_nodes():
-    return sum(inst.dag.n for inst in bounds._TAG_MEMO.values())
+def _memo_edges():
+    return sum(len(edges) for _, _, edges in bounds._TAG_MEMO.values())
+
+
+def _rewired(dag):
+    """``dag``'s tag on a graph of the same size with one edge's head moved."""
+    (u, v), rest = dag.edges[-1], dag.edges[:-1]
+    # a head neither reachable from u nor reaching it: no cycle, no duplicate
+    head = next(
+        w for w in dag.nodes() if w not in (u, v) and not dag.has_path(u, w) and not dag.has_path(w, u)
+    )
+    return ComputationalDAG(dag.n, rest + ((u, head),), family=dag.family)
 
 
 class TestTagAuthentication:
@@ -312,7 +322,7 @@ class TestTagAuthentication:
         with pytest.raises(SolverError, match="does not reproduce"):
             solve(PebblingProblem(copy, r=3, game="prbp"), solver="tree")
         assert solve(PebblingProblem(real, r=3, game="prbp"), solver="tree").solver == "tree"
-        assert any(inst.dag == real for inst in bounds._TAG_MEMO.values())  # warm
+        assert any(edges is real.edges for _, _, edges in bounds._TAG_MEMO.values())  # warm
         with pytest.raises(SolverError, match="does not reproduce"):
             solve(PebblingProblem(copy, r=3, game="prbp"), solver="tree")
 
@@ -373,18 +383,96 @@ class TestTagAuthentication:
             assert got.schedule.moves == want.schedule.moves
 
     def test_memo_never_exceeds_its_node_cap(self, monkeypatch):
-        monkeypatch.setattr(bounds, "TAG_MEMO_MAX_NODES", 100)
+        # the cap counts pinned edges
+        monkeypatch.setattr(bounds, "TAG_MEMO_MAX_EDGES", 100)
         authenticated_instance_cache_clear()
         try:
             for k, depth in ((2, 4), (2, 5), (3, 3), (2, 4), (2, 6), (4, 2), (2, 7)):
                 dag = kary_tree_dag(k, depth)
-                assert authenticated_instance(PebblingProblem(dag, r=k + 1, game="prbp")).dag == dag
-                assert _memo_nodes() <= 100
-            # the 255-node tree is larger than the cap and was not kept
-            assert all(inst.dag.n < 255 for inst in bounds._TAG_MEMO.values())
-            assert bounds._tag_memo_nodes == _memo_nodes()
+                assert authenticated_instance(PebblingProblem(dag, r=k + 1, game="prbp")).dag is dag
+                assert _memo_edges() <= 100
+            # the 126- and 254-edge trees are larger than the cap and were not kept
+            assert all(len(edges) <= 100 for _, _, edges in bounds._TAG_MEMO.values())
+            assert bounds._tag_memo_edges == _memo_edges()
         finally:
             authenticated_instance_cache_clear()
+
+    def test_warm_hit_returns_the_problems_own_dag(self):
+        first, second = fft_dag(16), fft_dag(16)
+        authenticated_instance_cache_clear()
+        assert authenticated_instance(PebblingProblem(first, r=4, game="prbp")).dag is first
+        assert [edges for _, _, edges in bounds._TAG_MEMO.values()] == [first.edges]
+        for dag in (first, second):  # warm: the pinned tuple itself, then an equal one
+            inst = authenticated_instance(PebblingProblem(dag, r=8, game="prbp"))
+            assert inst.dag is dag and inst.m == 16
+        assert len(bounds._TAG_MEMO) == 1
+
+    def test_same_edges_in_another_order_authenticate(self):
+        real = matmul_dag(2, 3, 2)
+        shuffled = ComputationalDAG(real.n, real.edges[::-1], family=real.family)
+        assert shuffled.edges != real.edges and shuffled == real
+        authenticated_instance_cache_clear()
+        for dag in (shuffled, real, shuffled):  # cold, then warm on the pinned order, then warm
+            assert authenticated_instance(PebblingProblem(dag, r=4, game="prbp")).dag is dag
+
+    @pytest.mark.parametrize("real", [kary_tree_dag(2, 3), matmul_dag(2, 2, 3)], ids=["tree", "matmul"])
+    def test_one_rewired_edge_is_refused_on_cold_and_warm_memo(self, real):
+        bad = _rewired(real)
+        assert (bad.n, bad.m) == (real.n, real.m) and bad != real
+        authenticated_instance_cache_clear()
+        with pytest.raises(SolverError, match="does not reproduce"):
+            authenticated_instance(PebblingProblem(bad, r=4, game="prbp"))
+        assert authenticated_instance(PebblingProblem(real, r=4, game="prbp")).dag is real
+        with pytest.raises(SolverError, match="does not reproduce"):  # warm
+            authenticated_instance(PebblingProblem(bad, r=4, game="prbp"))
+
+    @pytest.mark.parametrize(
+        "solver, dag, r, game",
+        [
+            ("tree", kary_tree_dag(2, 4), 3, "prbp"),
+            ("matvec-streaming", matvec_dag(4), 7, "prbp"),
+            ("fft-blocked", fft_dag(16), 4, "rbp"),
+            ("fft-blocked", fft_dag(16), 4, "prbp"),
+            ("matmul-tiled", matmul_dag(3, 3, 3), 9, "prbp"),
+            ("attention-flash", attention_dag(3, 2), 8, "prbp"),
+        ],
+        ids=["tree", "matvec", "fft-rbp", "fft-prbp", "matmul", "attention"],
+    )
+    def test_structured_schedule_is_on_the_problems_dag(self, solver, dag, r, game):
+        mine = ComputationalDAG(dag.n, dag.edges, name="mine", family=dag.family)
+        authenticated_instance_cache_clear()
+        for memo in ("cold", "warm"):
+            problem = PebblingProblem(mine, r, game)
+            named = solve(problem, solver=solver)
+            assert named.solver == solver, memo
+            for result in (named, solve(problem)):  # the auto portfolio may pick greedy
+                assert result.schedule.dag is mine and result.schedule.dag.name == "mine", memo
+
+    @pytest.mark.parametrize(
+        "structured_solver, dag, r",
+        [
+            ("fft-blocked", fft_dag(32), 8),
+            ("matmul-tiled", matmul_dag(4, 4, 5), 9),
+            ("attention-flash", attention_dag(4, 3), 12),
+        ],
+        ids=["fft", "matmul", "attention"],
+    )
+    def test_structured_solves_build_no_dag(self, monkeypatch, structured_solver, dag, r):
+        built = []
+        original = ComputationalDAG.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[:1])
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ComputationalDAG, "__init__", counting_init)
+        authenticated_instance_cache_clear()
+        for game in ("prbp", "rbp") if dag.family.name == "fft" else ("prbp",):
+            for _memo in ("cold", "warm"):
+                result = solve(PebblingProblem(dag, r, game))
+                ran = {a.solver: a.outcome for a in result.solve_stats.attempts}
+                assert ran.get(structured_solver) in ("won", "lost"), ran
+        assert built == []
 
 
 class TestSolveBoundary:

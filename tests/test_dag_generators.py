@@ -1,7 +1,13 @@
 """Structural tests for every DAG family generator."""
 
-import pytest
+import hashlib
+from dataclasses import replace
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.core.dag import DAGFamily
 from repro.dags import (
     FAMILY_INSTANCE_BUILDERS,
     attention_instance,
@@ -292,7 +298,94 @@ class TestFamilyTable:
 
     @pytest.mark.parametrize("inst", FAMILY_SAMPLES, ids=lambda inst: inst.dag.family.name)
     def test_every_tag_regenerates_its_dag(self, inst):
+        # the table's layout builders build no DAG: they return its layout,
+        # node count and edges, which must be the tagged DAG's
         fam = inst.dag.family
-        rebuilt = FAMILY_INSTANCE_BUILDERS[fam.name](**fam.as_dict())
-        assert rebuilt.dag == inst.dag
-        assert rebuilt.dag.family == fam
+        layout, n, edges = FAMILY_INSTANCE_BUILDERS[fam.name](**fam.as_dict())
+        assert (n, edges) == (inst.dag.n, inst.dag.edges)
+        assert layout.dag is None and replace(layout, dag=inst.dag) == inst
+        assert PUBLIC_BUILDERS[fam.name](**fam.as_dict()).dag.family == fam
+
+    @pytest.mark.parametrize("inst", FAMILY_SAMPLES, ids=lambda inst: inst.dag.family.name)
+    def test_every_sample_dag_is_pinned(self, inst):
+        # node count, edge order, labels, name and tag as the generators
+        # wrote them before the layout builders were split out
+        dag = inst.dag
+        text = repr((dag.n, dag.edges, [dag.label(v) for v in dag.nodes()], dag.name, str(dag.family)))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == SAMPLE_DIGESTS[dag.family.name]
+
+
+SAMPLE_DIGESTS = {
+    "attention": "2a3726197a17d330",
+    "chained_gadget": "0098347d1a134037",
+    "fanin_groups": "fe863847a8aed4da",
+    "fft": "04ba701b609aecef",
+    "figure1": "21d3a6222053e44f",
+    "kary_tree": "1a0eeeb19ef68425",
+    "matmul": "d6a887f0ccfba1dc",
+    "matvec": "c08d25723a913cee",
+    "pebble_collection": "21203091002773d9",
+    "pyramid": "e6a2ad784bc9426d",
+    "zipper": "8e00ca2a9d059126",
+}
+
+
+#: Family tag name -> the public ``*_instance`` builder of that family.
+PUBLIC_BUILDERS = {
+    "attention": attention_instance,
+    "chained_gadget": chained_gadget_instance,
+    "fanin_groups": fanin_groups_instance,
+    "fft": fft_instance,
+    "figure1": figure1_instance,
+    "kary_tree": kary_tree_instance,
+    "matmul": matmul_instance,
+    "matvec": matvec_instance,
+    "pebble_collection": pebble_collection_instance,
+    "pyramid": pyramid_instance,
+    "zipper": zipper_instance,
+}
+
+_dims = st.integers(min_value=1, max_value=6)
+
+#: Family tag name -> valid keyword parameters of its builders.
+FAMILY_PARAMS = {
+    "attention": st.fixed_dictionaries({"m": _dims, "d": _dims, "include_softmax": st.booleans()}),
+    "chained_gadget": st.fixed_dictionaries({"copies": _dims}),
+    "fanin_groups": st.fixed_dictionaries({"num_groups": _dims, "group_size": _dims}),
+    "fft": st.fixed_dictionaries({"m": st.sampled_from([2, 4, 8, 16, 32, 64])}),
+    "figure1": st.fixed_dictionaries(
+        {"include_endpoints": st.booleans(), "with_z_layer": st.booleans(), "with_w0": st.booleans()}
+    ).filter(lambda p: p["include_endpoints"] or not p["with_z_layer"]),
+    "kary_tree": st.fixed_dictionaries(
+        {"k": st.integers(min_value=2, max_value=4), "depth": st.integers(min_value=1, max_value=4)}
+    ),
+    "matmul": st.fixed_dictionaries({"m1": _dims, "m2": _dims, "m3": _dims}),
+    "matvec": st.fixed_dictionaries({"m": st.integers(min_value=1, max_value=12)}),
+    "pebble_collection": st.fixed_dictionaries(
+        {"d": _dims, "length": st.integers(min_value=1, max_value=12)}
+    ),
+    "pyramid": st.fixed_dictionaries({"height": st.integers(min_value=1, max_value=10)}),
+    "zipper": st.fixed_dictionaries({"d": _dims, "length": st.integers(min_value=2, max_value=10)}),
+}
+
+
+class TestLayoutBuilders:
+    """Each table entry is the one generator of its family's edges; the
+    public ``*_instance`` adds labels and the DAG and nothing else."""
+
+    def test_every_family_is_drawn(self):
+        assert set(FAMILY_PARAMS) == set(PUBLIC_BUILDERS) == set(FAMILY_INSTANCE_BUILDERS)
+
+    @given(
+        st.sampled_from(sorted(FAMILY_PARAMS)).flatmap(
+            lambda name: st.tuples(st.just(name), FAMILY_PARAMS[name])
+        )
+    )
+    def test_layout_builder_matches_public_instance(self, case):
+        name, params = case
+        layout, n, edges = FAMILY_INSTANCE_BUILDERS[name](**params)
+        inst = PUBLIC_BUILDERS[name](**params)
+        assert isinstance(edges, tuple)
+        assert (n, edges) == (inst.dag.n, inst.dag.edges)
+        assert layout.dag is None and replace(inst, dag=None) == layout
+        assert inst.dag.family == DAGFamily.tag(name, **params)

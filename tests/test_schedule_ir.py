@@ -529,7 +529,8 @@ def test_compute_cost_variants_match_engine():
 def test_dag_data_cache_survives_concurrent_eviction(monkeypatch):
     # one slot and four threads, each with its own DAG: every call evicts
     # another thread's entry, so an unlocked LRU raises KeyError in
-    # move_to_end between a lookup and its reorder
+    # move_to_end between a lookup and its reorder, and a torn lock-free
+    # last-hit pair would hand a thread another DAG's tables
     monkeypatch.setattr(sir, "_DAG_DATA_CACHE_SIZE", 1)
     dags = [kary_tree_dag(2, 2) for _ in range(4)]
     errors = []
@@ -539,7 +540,9 @@ def test_dag_data_cache_survives_concurrent_eviction(monkeypatch):
         start.wait()
         try:
             for _ in range(5_000):
-                sir._dag_data(dag)
+                if sir._dag_data(dag).preds is not dag._preds:
+                    errors.append("another DAG's tables")
+                    return
         except Exception as exc:  # noqa: BLE001 - collected and asserted below
             errors.append(exc)
 
@@ -555,3 +558,46 @@ def test_dag_data_cache_survives_concurrent_eviction(monkeypatch):
         sys.setswitchinterval(old_interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
+
+
+def test_one_shot_replay_leaves_the_in_edge_table_unbuilt():
+    # only a CLEAR row reads the (u, edge id) in-edge table
+    dag = matvec_dag(3)
+    schedule = topological_prbp_schedule(dag, 4)
+    assert sir.replay(schedule).ok
+    data = sir._dag_data(dag)
+    assert data._in_edges is None
+    assert data.preds is dag._preds
+
+
+def test_clear_variant_prbp_replay_builds_the_table_and_matches_engine():
+    dag = kary_tree_dag(2, 2)  # root 0, inner 1 and 2, leaves 3..6
+    rows = [
+        PRBPMove(MoveKind.LOAD, node=3),
+        PRBPMove(MoveKind.LOAD, node=4),
+        PRBPMove(MoveKind.COMPUTE, edge=(3, 1)),
+        PRBPMove(MoveKind.COMPUTE, edge=(4, 1)),
+        PRBPMove(MoveKind.CLEAR, node=1),  # unmarks (3, 1) and (4, 1)
+        PRBPMove(MoveKind.COMPUTE, edge=(3, 1)),
+        PRBPMove(MoveKind.COMPUTE, edge=(4, 1)),
+        PRBPMove(MoveKind.DELETE, node=3),
+        PRBPMove(MoveKind.DELETE, node=4),
+        PRBPMove(MoveKind.COMPUTE, edge=(1, 0)),
+        PRBPMove(MoveKind.DELETE, node=1),
+        PRBPMove(MoveKind.LOAD, node=5),
+        PRBPMove(MoveKind.LOAD, node=6),
+        PRBPMove(MoveKind.COMPUTE, edge=(5, 2)),
+        PRBPMove(MoveKind.COMPUTE, edge=(6, 2)),
+        PRBPMove(MoveKind.DELETE, node=5),
+        PRBPMove(MoveKind.DELETE, node=6),
+        PRBPMove(MoveKind.COMPUTE, edge=(2, 0)),
+        PRBPMove(MoveKind.DELETE, node=2),
+        PRBPMove(MoveKind.SAVE, node=0),
+    ]
+    schedule = PRBPSchedule(dag, 4, rows, variant=RECOMPUTE)
+    outcome = sir.replay(schedule)
+    assert outcome.ok and outcome.io_cost == 5
+    assert_outcome_matches(outcome, engine_reference(schedule), schedule)
+    in_edges = sir._dag_data(dag)._in_edges
+    assert in_edges is not None
+    assert in_edges[1] == ((3, dag.edge_id(3, 1)), (4, dag.edge_id(4, 1)))
